@@ -1,7 +1,6 @@
 #include "core/functional_mechanism.h"
 
 #include <cmath>
-#include <limits>
 
 #include "common/logging.h"
 #include "dp/budget.h"
@@ -39,18 +38,6 @@ Result<opt::QuadraticModel> FunctionalMechanism::PerturbQuadratic(
   noisy.m = mech.PerturbSymmetric(objective.m, rng);
   noisy.alpha = mech.Perturb(objective.alpha, rng);
   noisy.beta = mech.Perturb(objective.beta, rng);
-  return noisy;
-}
-
-Result<PolynomialObjective> FunctionalMechanism::PerturbPolynomial(
-    const PolynomialObjective& objective, double delta, double epsilon,
-    Rng& rng) {
-  FM_ASSIGN_OR_RETURN(dp::LaplaceMechanism mech,
-                      dp::LaplaceMechanism::Create(epsilon, delta));
-  PolynomialObjective noisy(objective.dim());
-  for (const auto& [monomial, coefficient] : objective.terms()) {
-    noisy.AddTerm(monomial, mech.Perturb(coefficient, rng));
-  }
   return noisy;
 }
 
@@ -184,74 +171,6 @@ Result<FmFitReport> FunctionalMechanism::FitQuadratic(
   return Status::NumericalError(
       "resampling did not produce a bounded objective within " +
       std::to_string(options.max_resample_attempts) + " attempts");
-}
-
-Result<FmFitReport> FunctionalMechanism::FitPolynomial(
-    const PolynomialObjective& objective, double delta,
-    const PolynomialFitOptions& options, Rng& rng) {
-  if (objective.MaxDegree() <= 2) {
-    FM_ASSIGN_OR_RETURN(opt::QuadraticModel quadratic,
-                        objective.ToQuadraticModel());
-    return FitQuadratic(quadratic, delta, options.base, rng);
-  }
-  if (!(options.domain_radius > 0.0)) {
-    return Status::InvalidArgument("domain_radius must be positive");
-  }
-  FM_ASSIGN_OR_RETURN(
-      PolynomialObjective noisy,
-      PerturbPolynomial(objective, delta, options.base.epsilon, rng));
-
-  FmFitReport report;
-  report.delta = delta;
-  report.laplace_scale = delta / options.base.epsilon;
-  report.epsilon_spent = options.base.epsilon;
-  report.attempts = 1;
-
-  const size_t d = objective.dim();
-  const double radius = options.domain_radius;
-  auto project = [radius](linalg::Vector& w) {
-    const double norm = w.Norm2();
-    if (norm > radius) w *= radius / norm;
-  };
-
-  double best_value = std::numeric_limits<double>::infinity();
-  linalg::Vector best(d);
-  for (int start = 0; start < std::max(1, options.restarts); ++start) {
-    linalg::Vector w(d);
-    if (start > 0) {
-      for (auto& v : w) v = rng.Uniform(-radius, radius);
-      project(w);
-    }
-    double value = noisy.Evaluate(w);
-    double step = 0.25 * radius;
-    for (int iter = 0; iter < options.max_iterations; ++iter) {
-      const linalg::Vector grad = noisy.Gradient(w);
-      if (grad.NormInf() < 1e-10) break;
-      bool advanced = false;
-      double t = step;
-      for (int bt = 0; bt < 40; ++bt) {
-        linalg::Vector candidate = w;
-        candidate.Axpy(-t, grad);
-        project(candidate);
-        const double cv = noisy.Evaluate(candidate);
-        if (cv < value - 1e-12) {
-          w = std::move(candidate);
-          value = cv;
-          step = t * 1.5;
-          advanced = true;
-          break;
-        }
-        t *= 0.5;
-      }
-      if (!advanced) break;  // projected stationary point
-    }
-    if (value < best_value) {
-      best_value = value;
-      best = w;
-    }
-  }
-  report.omega = std::move(best);
-  return report;
 }
 
 double LinearRegressionSensitivity(size_t d) {

@@ -7,7 +7,6 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "core/monomial.h"
 #include "linalg/vector.h"
 #include "opt/quadratic_model.h"
 
@@ -90,11 +89,11 @@ struct FmFitReport {
 };
 
 /// The Functional Mechanism (Algorithm 1) specialized to quadratic
-/// objectives, plus the generic polynomial API and the §6 post-processors.
+/// objectives, plus the §6 post-processors.
 ///
 /// Typical use goes through FmLinearRegression / FmLogisticRegression; this
 /// class is the reusable engine for any optimization-based analysis whose
-/// (possibly truncated) objective is a finite polynomial:
+/// (possibly truncated) objective is a quadratic polynomial:
 ///
 ///   opt::QuadraticModel objective = BuildLinearObjective(x, y);
 ///   double delta = LinearRegressionSensitivity(x.cols());
@@ -109,12 +108,6 @@ class FunctionalMechanism {
       const opt::QuadraticModel& objective, double delta, double epsilon,
       Rng& rng);
 
-  /// Perturbs a generic finite-degree polynomial objective (Algorithm 1
-  /// lines 2–6) by adding Lap(Δ/ε) noise to every monomial coefficient.
-  static Result<PolynomialObjective> PerturbPolynomial(
-      const PolynomialObjective& objective, double delta, double epsilon,
-      Rng& rng);
-
   /// Full Algorithm 1 (+ §6 remedies per `options`): perturb `objective`
   /// with sensitivity `delta`, post-process, and minimize. The caller
   /// supplies Δ from its own sensitivity analysis (Lemma 1); the regression
@@ -122,29 +115,6 @@ class FunctionalMechanism {
   static Result<FmFitReport> FitQuadratic(const opt::QuadraticModel& objective,
                                           double delta,
                                           const FmOptions& options, Rng& rng);
-
-  /// Options for FitPolynomial (degree ≥ 3 objectives).
-  struct PolynomialFitOptions {
-    FmOptions base;
-    /// The minimizer is searched within ‖ω‖₂ ≤ domain_radius. A compact
-    /// domain guarantees the noisy polynomial has a minimizer even when it
-    /// is unbounded below on R^d (the §4 failure mode for general noisy
-    /// functions), and matches the regression setting where meaningful
-    /// parameters are bounded.
-    double domain_radius = 1.0;
-    /// Projected-gradient restarts (the noisy polynomial may be nonconvex).
-    int restarts = 4;
-    int max_iterations = 2000;
-  };
-
-  /// Full Algorithm 1 for an arbitrary finite-degree polynomial objective:
-  /// perturbs every monomial coefficient with Lap(Δ/ε) and minimizes the
-  /// noisy polynomial. Degree ≤ 2 inputs take the exact quadratic path with
-  /// the §6 post-processing from options.base; higher degrees are minimized
-  /// by multi-start projected gradient descent over ‖ω‖ ≤ domain_radius.
-  static Result<FmFitReport> FitPolynomial(
-      const PolynomialObjective& objective, double delta,
-      const PolynomialFitOptions& options, Rng& rng);
 
   /// §6.2 spectral trimming: eigendecomposes M, drops non-positive
   /// eigenvalues, minimizes g(V) = VᵀΛ′V + (Q′α)ᵀV + β over V = Q′ω, and

@@ -34,7 +34,7 @@ namespace fm::linalg::kernels {
 ///   (never split into SIMD partial sums, which would reassociate). The
 ///   blocked kernels gain throughput from instruction-level parallelism
 ///   *across* independent rows, not from splitting any single reduction.
-/// - **Compensated accumulation** (ObjectiveAccumulator): the blocked
+/// - **Compensated accumulation** (core::ShardedObjectiveSum): the blocked
 ///   kernel replaces Neumaier's branch with Knuth's branch-free TwoSum.
 ///   Both compute the *exact* rounding error of `sum + v` (a representable
 ///   double), so the increment fed to the compensation term is
@@ -116,7 +116,7 @@ void RefMatVec(const double* a, size_t lda, size_t rows, size_t cols,
 
 // ---------------------------------------------------------------------------
 // Compensated (Neumaier) per-tuple objective contribution — the
-// ObjectiveAccumulator hot loop. Updates the flat coefficient layout
+// ShardedObjectiveSum hot loop. Updates the flat coefficient layout
 // [M upper triangle (d(d+1)/2), α (d), β (1)]:
 //
 //   triangle  : (sum,comp)[idx] ⊕= (m_scale·x[i])·x[j]   (j ≥ i, row-major)

@@ -160,8 +160,9 @@ Status BudgetAccountant::RestoreFrom(io::ByteReader& reader) {
   FM_RETURN_NOT_OK(reader.ReadDouble(&spent));
   FM_RETURN_NOT_OK(reader.ReadU64(&next_reservation));
   FM_RETURN_NOT_OK(reader.ReadU64(&charge_count));
+  // No reserve(charge_count): the count comes off disk, and each record
+  // read below fails on a short payload before the vector can outgrow it.
   std::vector<ChargeRecord> charges;
-  charges.reserve(static_cast<size_t>(charge_count));
   for (uint64_t i = 0; i < charge_count; ++i) {
     ChargeRecord charge;
     FM_RETURN_NOT_OK(reader.ReadDouble(&charge.epsilon));

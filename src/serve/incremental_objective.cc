@@ -4,9 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "exec/parallel.h"
-#include "linalg/kernels.h"
-
 namespace fm::serve {
 
 namespace {
@@ -27,7 +24,11 @@ void ReleaseExcessCapacity(std::vector<T>& v) {
 
 IncrementalObjective::IncrementalObjective(size_t dim,
                                            core::ObjectiveKind kind)
-    : dim_(dim), kind_(kind) {}
+    : dim_(dim), kind_(kind), sums_(dim, kind) {}
+
+core::ObjectiveRows IncrementalObjective::rows() const {
+  return {xs_.data(), ys_.data(), ys_.size(), live_.data()};
+}
 
 Status IncrementalObjective::ValidateTuple(const double* x, size_t dim,
                                            double y) const {
@@ -85,12 +86,6 @@ bool IncrementalObjective::Contains(TupleId id) const {
   return FindLiveSlot(id).ok();
 }
 
-size_t IncrementalObjective::live_shards() const {
-  size_t count = 0;
-  for (const uint32_t live : shard_live_) count += live > 0 ? 1 : 0;
-  return count;
-}
-
 size_t IncrementalObjective::AppendTuple(const double* x, double y) {
   const size_t slot = ys_.size();
   xs_.insert(xs_.end(), x, x + dim_);
@@ -98,13 +93,6 @@ size_t IncrementalObjective::AppendTuple(const double* x, double y) {
   live_.push_back(1);
   slot_to_id_.push_back(next_id_++);
   ++live_count_;
-  const size_t shard = slot / core::kObjectiveShardRows;
-  if (shard >= shard_sums_.size()) {
-    shard_sums_.emplace_back(num_coefficients(), 0.0);
-    shard_comps_.emplace_back(num_coefficients(), 0.0);
-    shard_live_.push_back(0);
-  }
-  ++shard_live_[shard];
   return slot;
 }
 
@@ -112,14 +100,10 @@ Result<TupleId> IncrementalObjective::Insert(const double* x, size_t dim,
                                              double y) {
   FM_RETURN_NOT_OK(ValidateTuple(x, dim, y));
   const size_t slot = AppendTuple(x, y);
-  const size_t shard = slot / core::kObjectiveShardRows;
   // Appending this tuple's compensated contribution is exactly the next
-  // step of a from-scratch in-order accumulation of the shard's live slots
-  // (the batch kernels are bit-identical to single-tuple calls in the same
-  // order), so the class invariant is preserved bitwise.
-  core::AccumulateTupleContribution(kind_, xs_.data() + slot * dim_, dim_,
-                                    ys_[slot], shard_sums_[shard].data(),
-                                    shard_comps_[shard].data());
+  // step of a from-scratch in-order accumulation of the shard's live slots,
+  // so the class invariant is preserved bitwise.
+  sums_.Accumulate(slot / core::kObjectiveShardRows, rows(), slot, slot + 1);
   return slot_to_id_[slot];
 }
 
@@ -130,9 +114,6 @@ Result<TupleId> IncrementalObjective::Insert(const linalg::Vector& x,
 
 Result<TupleId> IncrementalObjective::InsertBatch(
     const data::RegressionDataset& tuples, exec::ThreadPool* pool) {
-  // Rejecting the empty batch first keeps the error path obvious and
-  // guarantees the ys_.size() - 1 shard arithmetic below always runs on a
-  // non-empty store.
   if (tuples.size() == 0) {
     return Status::InvalidArgument("empty insert batch");
   }
@@ -150,72 +131,16 @@ Result<TupleId> IncrementalObjective::InsertBatch(
   for (size_t i = 0; i < tuples.size(); ++i) {
     AppendTuple(tuples.x.Row(i), tuples.y[i]);
   }
-  // The new slots span a contiguous shard range; each affected shard's
-  // partials gain its new slots' contributions in slot order, which is the
-  // same per-shard operation sequence the serial Insert loop performs —
-  // shards are independent, so running them concurrently cannot change a
-  // bit, for any pool size.
-  const size_t first_shard = first / core::kObjectiveShardRows;
-  const size_t last_shard = (ys_.size() - 1) / core::kObjectiveShardRows;
-  exec::ParallelFor(
-      last_shard - first_shard + 1,
-      [&](size_t i) {
-        const size_t shard = first_shard + i;
-        const size_t shard_begin = shard * core::kObjectiveShardRows;
-        const size_t begin = std::max<size_t>(first, shard_begin);
-        const size_t end = std::min<size_t>(
-            ys_.size(), shard_begin + core::kObjectiveShardRows);
-        AccumulateSlotRange(begin, end, shard_sums_[shard].data(),
-                            shard_comps_[shard].data());
-      },
-      pool != nullptr ? *pool : exec::ThreadPool::Global());
+  // Each affected shard's partials gain its new slots' contributions in slot
+  // order — the same per-shard sequence the serial Insert loop performs.
+  sums_.AccumulateShards(rows(), first, pool);
   return slot_to_id_[first];
-}
-
-void IncrementalObjective::AccumulateSlotRange(size_t begin, size_t end,
-                                               double* sum,
-                                               double* comp) const {
-  constexpr size_t kB = linalg::kernels::kCompensatedBatch;
-  const double* batch_xs[kB];
-  double batch_ys[kB];
-  size_t filled = 0;
-  for (size_t slot = begin; slot < end; ++slot) {
-    if (!live_[slot]) continue;
-    batch_xs[filled] = xs_.data() + slot * dim_;
-    batch_ys[filled] = ys_[slot];
-    if (++filled == kB) {
-      core::AccumulateTupleContributionBatch(kind_, batch_xs, dim_, batch_ys,
-                                             sum, comp);
-      filled = 0;
-    }
-  }
-  for (size_t r = 0; r < filled; ++r) {
-    core::AccumulateTupleContribution(kind_, batch_xs[r], dim_, batch_ys[r],
-                                      sum, comp);
-  }
-}
-
-void IncrementalObjective::AccumulateShardSlots(size_t shard, double* sum,
-                                                double* comp) const {
-  const size_t begin = shard * core::kObjectiveShardRows;
-  const size_t end =
-      std::min<size_t>(ys_.size(), begin + core::kObjectiveShardRows);
-  AccumulateSlotRange(begin, end, sum, comp);
-}
-
-void IncrementalObjective::RecomputeShard(size_t shard) {
-  std::fill(shard_sums_[shard].begin(), shard_sums_[shard].end(), 0.0);
-  std::fill(shard_comps_[shard].begin(), shard_comps_[shard].end(), 0.0);
-  AccumulateShardSlots(shard, shard_sums_[shard].data(),
-                       shard_comps_[shard].data());
 }
 
 Status IncrementalObjective::Delete(TupleId id) {
   FM_ASSIGN_OR_RETURN(const size_t slot, FindLiveSlot(id));
   live_[slot] = 0;
   --live_count_;
-  const size_t shard = slot / core::kObjectiveShardRows;
-  --shard_live_[shard];
   // Scrub the dead tuple's raw values — a deleted private record must not
   // stay resident. The slot itself is retained (ids stay stable) until the
   // next compaction physically frees it.
@@ -226,7 +151,7 @@ Status IncrementalObjective::Delete(TupleId id) {
   // returns to exactly the compensated in-order sum of its remaining live
   // tuples, keeping the invariant bitwise — see the class comment and
   // docs/DETERMINISM.md.
-  RecomputeShard(shard);
+  sums_.RecomputeShard(slot / core::kObjectiveShardRows, rows());
   return Status::OK();
 }
 
@@ -236,7 +161,7 @@ Status IncrementalObjective::Update(TupleId id, const double* x, size_t dim,
   FM_RETURN_NOT_OK(ValidateTuple(x, dim, y));
   std::memcpy(xs_.data() + slot * dim_, x, dim_ * sizeof(double));
   ys_[slot] = y;
-  RecomputeShard(slot / core::kObjectiveShardRows);
+  sums_.RecomputeShard(slot / core::kObjectiveShardRows, rows());
   return Status::OK();
 }
 
@@ -271,54 +196,17 @@ size_t IncrementalObjective::Compact(exec::ThreadPool* pool) {
   ReleaseExcessCapacity(live_);
 
   // Rebuild every shard partial from scratch over the dense layout — the
-  // same per-shard serial accumulation a fresh store fed these tuples in
-  // order would have performed (shard boundaries depend only on the slot
-  // index, and the batch kernels are bit-identical to single-tuple calls in
-  // the same order), so the post-compaction state is bit-identical to that
-  // fresh store for every pool size.
-  const size_t shards =
-      (write + core::kObjectiveShardRows - 1) / core::kObjectiveShardRows;
-  shard_sums_.assign(shards, std::vector<double>(num_coefficients(), 0.0));
-  shard_comps_.assign(shards, std::vector<double>(num_coefficients(), 0.0));
-  shard_live_.assign(shards, 0);
-  ReleaseExcessCapacity(shard_sums_);
-  ReleaseExcessCapacity(shard_comps_);
-  ReleaseExcessCapacity(shard_live_);
-  for (size_t s = 0; s < shards; ++s) {
-    shard_live_[s] = static_cast<uint32_t>(
-        std::min<size_t>(write - s * core::kObjectiveShardRows,
-                         core::kObjectiveShardRows));
-  }
-  exec::ParallelFor(
-      shards,
-      [&](size_t s) {
-        AccumulateShardSlots(s, shard_sums_[s].data(),
-                             shard_comps_[s].data());
-      },
-      pool != nullptr ? *pool : exec::ThreadPool::Global());
+  // same per-shard accumulation a fresh store fed these tuples in order
+  // would have performed (shard boundaries depend only on the slot index),
+  // so the post-compaction state is bit-identical to that fresh store for
+  // every pool size.
+  sums_ = core::ShardedObjectiveSum(dim_, kind_);
+  sums_.AccumulateShards(rows(), 0, pool);
   return old_slots - write;
 }
 
 opt::QuadraticModel IncrementalObjective::Objective() const {
-  const size_t coefficients = num_coefficients();
-  std::vector<double> sum(coefficients, 0.0);
-  std::vector<double> comp(coefficients, 0.0);
-  // Same reduction shape as ObjectiveAccumulator::Build: shard partials
-  // folded serially in shard order, compensations carried. Fully-dead
-  // shards are skipped: their partials are exact (+0.0, +0.0) pairs, and
-  // folding +0.0 through CompensatedAdd is the identity on every (sum,
-  // comp) this reduction can reach — a running sum or compensation can
-  // only be ±nonzero or +0.0 (x + y == −0.0 in round-to-nearest requires
-  // both operands −0.0, and every term starts from +0.0), and
-  // +0.0 + +0.0 == +0.0 — so the skip cannot change a bit.
-  for (size_t s = 0; s < shard_sums_.size(); ++s) {
-    if (shard_live_[s] == 0) continue;
-    for (size_t idx = 0; idx < coefficients; ++idx) {
-      core::CompensatedAdd(sum[idx], comp[idx], shard_sums_[s][idx]);
-      comp[idx] += shard_comps_[s][idx];
-    }
-  }
-  return core::RoundObjectiveCoefficients(dim_, sum.data(), comp.data());
+  return sums_.Reduce().Round();
 }
 
 data::RegressionDataset IncrementalObjective::Materialize() const {
@@ -346,18 +234,7 @@ IncrementalObjective IncrementalObjective::RebuildFromScratch(
   fresh.live_count_ = live_count_;
   fresh.slot_to_id_ = slot_to_id_;
   fresh.next_id_ = next_id_;
-  fresh.shard_live_ = shard_live_;
-  fresh.shard_sums_.assign(shard_sums_.size(),
-                           std::vector<double>(num_coefficients(), 0.0));
-  fresh.shard_comps_.assign(shard_comps_.size(),
-                            std::vector<double>(num_coefficients(), 0.0));
-  exec::ParallelFor(
-      fresh.shard_sums_.size(),
-      [&](size_t s) {
-        fresh.AccumulateShardSlots(s, fresh.shard_sums_[s].data(),
-                                   fresh.shard_comps_[s].data());
-      },
-      pool != nullptr ? *pool : exec::ThreadPool::Global());
+  fresh.sums_.AccumulateShards(fresh.rows(), 0, pool);
   return fresh;
 }
 
@@ -369,22 +246,10 @@ bool IncrementalObjective::StoreStateBitwiseEquals(
            (a.empty() ||
             std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
   };
-  if (dim_ != other.dim_ || kind_ != other.kind_ ||
-      live_count_ != other.live_count_ || live_ != other.live_ ||
-      shard_live_ != other.shard_live_ ||
-      shard_sums_.size() != other.shard_sums_.size()) {
-    return false;
-  }
-  if (!doubles_equal(xs_, other.xs_) || !doubles_equal(ys_, other.ys_)) {
-    return false;
-  }
-  for (size_t s = 0; s < shard_sums_.size(); ++s) {
-    if (!doubles_equal(shard_sums_[s], other.shard_sums_[s]) ||
-        !doubles_equal(shard_comps_[s], other.shard_comps_[s])) {
-      return false;
-    }
-  }
-  return true;
+  return dim_ == other.dim_ && kind_ == other.kind_ &&
+         live_count_ == other.live_count_ && live_ == other.live_ &&
+         doubles_equal(xs_, other.xs_) && doubles_equal(ys_, other.ys_) &&
+         sums_.BitwiseEquals(other.sums_);
 }
 
 void IncrementalObjective::SerializeTo(std::string* out) const {
@@ -397,13 +262,7 @@ void IncrementalObjective::SerializeTo(std::string* out) const {
   io::AppendDoubleArray(out, ys_.data(), ys_.size());
   io::AppendBytes(out, live_.data(), live_.size());
   for (const TupleId id : slot_to_id_) io::AppendU64(out, id);
-  io::AppendU64(out, shard_sums_.size());
-  for (size_t s = 0; s < shard_sums_.size(); ++s) {
-    io::AppendDoubleArray(out, shard_sums_[s].data(), shard_sums_[s].size());
-    io::AppendDoubleArray(out, shard_comps_[s].data(),
-                          shard_comps_[s].size());
-    io::AppendU32(out, shard_live_[s]);
-  }
+  sums_.SerializeTo(out);
 }
 
 Status IncrementalObjective::RestoreFrom(io::ByteReader& reader) {
@@ -421,9 +280,6 @@ Status IncrementalObjective::RestoreFrom(io::ByteReader& reader) {
   FM_RETURN_NOT_OK(reader.ReadU64(&next_id));
   FM_RETURN_NOT_OK(reader.ReadU64(&live_count));
   FM_RETURN_NOT_OK(reader.ReadU64(&slots));
-  if (live_count > slots) {
-    return Status::IoError("snapshot live count exceeds its slot count");
-  }
   next_id_ = next_id;
   live_count_ = static_cast<size_t>(live_count);
   const size_t slot_count = static_cast<size_t>(slots);
@@ -438,22 +294,35 @@ Status IncrementalObjective::RestoreFrom(io::ByteReader& reader) {
       return Status::IoError("snapshot id table is not strictly increasing");
     }
   }
-  uint64_t shards = 0;
-  FM_RETURN_NOT_OK(reader.ReadU64(&shards));
-  const size_t expected_shards =
-      (slot_count + core::kObjectiveShardRows - 1) / core::kObjectiveShardRows;
-  if (shards != expected_shards) {
-    return Status::IoError("snapshot shard count does not match its slots");
+  size_t live_slots = 0;
+  for (size_t slot = 0; slot < slot_count; ++slot) {
+    if (live_[slot] > 1) {
+      return Status::IoError("snapshot liveness byte is neither 0 nor 1");
+    }
+    live_slots += live_[slot];
   }
-  shard_sums_.resize(static_cast<size_t>(shards));
-  shard_comps_.resize(static_cast<size_t>(shards));
-  shard_live_.resize(static_cast<size_t>(shards));
-  for (size_t s = 0; s < shard_sums_.size(); ++s) {
-    FM_RETURN_NOT_OK(
-        reader.ReadDoubleArray(&shard_sums_[s], num_coefficients()));
-    FM_RETURN_NOT_OK(
-        reader.ReadDoubleArray(&shard_comps_[s], num_coefficients()));
-    FM_RETURN_NOT_OK(reader.ReadU32(&shard_live_[s]));
+  if (live_slots != live_count_) {
+    return Status::IoError(
+        "snapshot live count does not match its liveness bytes");
+  }
+  if (slot_count > 0 && next_id_ <= slot_to_id_.back()) {
+    return Status::IoError("snapshot next id does not exceed its id table");
+  }
+  const size_t shards =
+      (slot_count + core::kObjectiveShardRows - 1) / core::kObjectiveShardRows;
+  FM_RETURN_NOT_OK(sums_.RestoreFrom(reader, shards));
+  // Objective() skips shards by their tuple counts, so each must equal the
+  // live slots its partial claims to sum.
+  for (size_t s = 0; s < shards; ++s) {
+    const size_t begin = s * core::kObjectiveShardRows;
+    const size_t end = std::min(slot_count, begin + core::kObjectiveShardRows);
+    const size_t live_in_shard = static_cast<size_t>(
+        std::count(live_.begin() + static_cast<ptrdiff_t>(begin),
+                   live_.begin() + static_cast<ptrdiff_t>(end), uint8_t{1}));
+    if (sums_.shard_tuples(s) != live_in_shard) {
+      return Status::IoError(
+          "snapshot shard live count does not match its liveness bytes");
+    }
   }
   return Status::OK();
 }

@@ -7,7 +7,7 @@
 #include "common/io_util.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "core/objective_accumulator.h"
+#include "core/sharded_objective_sum.h"
 #include "data/dataset.h"
 #include "linalg/vector.h"
 #include "opt/quadratic_model.h"
@@ -39,12 +39,11 @@ using TupleId = uint64_t;
 /// sorted id table (`slot_to_id_`): ids are assigned in insert order and
 /// compaction preserves the relative order of survivors, so the table stays
 /// strictly increasing and the id→slot lookup is a binary search — O(log n),
-/// O(live) memory, no hashing. Slots are grouped into fixed
-/// core::kObjectiveShardRows-sized shards, each holding a
-/// Neumaier-compensated partial coefficient sum over its live tuples,
-/// accumulated in slot order through the same
-/// core::AccumulateTupleContribution(Batch) primitives the offline
-/// accumulator uses. The class invariant — what makes incremental
+/// O(live) memory, no hashing. Slots are the rows of a
+/// core::ShardedObjectiveSum — the type the offline accumulator sums with —
+/// so they are grouped into fixed core::kObjectiveShardRows-sized shards,
+/// each holding a Neumaier-compensated partial coefficient sum over its
+/// live tuples in slot order. The class invariant — what makes incremental
 /// maintenance trustworthy — is:
 ///
 ///   every shard's (sum, comp) state is bit-identical to a from-scratch
@@ -101,9 +100,9 @@ class IncrementalObjective {
   size_t slot_count() const { return ys_.size(); }
   /// Dead slots awaiting compaction.
   size_t dead_count() const { return ys_.size() - live_count_; }
-  size_t num_shards() const { return shard_sums_.size(); }
+  size_t num_shards() const { return sums_.num_shards(); }
   /// Shards holding at least one live tuple — what Objective() pays for.
-  size_t live_shards() const;
+  size_t live_shards() const { return sums_.nonempty_shards(); }
 
   /// Validates the §3 normalization contract for `kind` (finite values,
   /// ‖x‖₂ ≤ 1; y ∈ [−1, 1] for kLinear, y ∈ {0, 1} for kTruncatedLogistic)
@@ -146,8 +145,9 @@ class IncrementalObjective {
   /// The current objective over all live tuples: live shards' partials
   /// reduced serially in shard order, compensation carried, then rounded.
   /// Fully-dead shards are skipped — their partials are exact (+0, +0)
-  /// pairs whose folding cannot change a bit (see the .cc note), so a
-  /// half-churned store pays O(live shards · d²), not O(all shards · d²).
+  /// pairs whose folding cannot change a bit (see
+  /// core::ShardedObjectiveSum::Reduce), so a half-churned store pays
+  /// O(live shards · d²), not O(all shards · d²).
   /// Deterministic per the class invariant.
   opt::QuadraticModel Objective() const;
 
@@ -177,8 +177,11 @@ class IncrementalObjective {
   void SerializeTo(std::string* out) const;
 
   /// Replaces this store's state with a SerializeTo payload read from
-  /// `reader`. On failure the store is left in an unspecified state — the
-  /// caller (snapshot recovery) discards it.
+  /// `reader`. kIoError when the payload's counters contradict its slots: a
+  /// liveness byte other than 0 or 1, a live count or a shard tuple count
+  /// that differs from the liveness bytes, or a next id the id table
+  /// already holds. On failure the store is left in an unspecified state —
+  /// the caller (snapshot recovery) discards it.
   Status RestoreFrom(io::ByteReader& reader);
 
   /// From-scratch reference rebuild: a fresh IncrementalObjective holding
@@ -207,25 +210,12 @@ class IncrementalObjective {
   // slot is dead.
   Result<size_t> FindLiveSlot(TupleId id) const;
 
-  // Accumulates the live slots in [begin, end) in slot order into
-  // (sum, comp), batching through the shared core primitives (bit-identical
-  // to single-tuple accumulation in the same order).
-  void AccumulateSlotRange(size_t begin, size_t end, double* sum,
-                           double* comp) const;
+  // The slots as the rows of sums_, read in place.
+  core::ObjectiveRows rows() const;
 
-  // Same over all of shard `shard`'s slots.
-  void AccumulateShardSlots(size_t shard, double* sum, double* comp) const;
-
-  // Rebuilds shard `shard`'s partials from its live tuples.
-  void RecomputeShard(size_t shard);
-
-  // Appends storage for one tuple (no accumulation), growing shards and
-  // assigning the next TupleId. Returns the new physical slot.
+  // Appends storage for one tuple (no accumulation) and assigns the next
+  // TupleId. Returns the new physical slot.
   size_t AppendTuple(const double* x, double y);
-
-  size_t num_coefficients() const {
-    return core::NumObjectiveCoefficients(dim_);
-  }
 
   size_t dim_;
   core::ObjectiveKind kind_;
@@ -237,11 +227,9 @@ class IncrementalObjective {
   // compaction preserves survivor order), so id → slot is a binary search.
   std::vector<TupleId> slot_to_id_;
   TupleId next_id_ = 0;  // never decremented — ids outlive compactions
-  // Per-shard compensated partial coefficient sums over live tuples, plus
-  // per-shard live counts (to skip fully-dead shards in Objective()).
-  std::vector<std::vector<double>> shard_sums_;
-  std::vector<std::vector<double>> shard_comps_;
-  std::vector<uint32_t> shard_live_;
+  // Per-shard compensated partial coefficient sums over the live slots; a
+  // shard's tuple count is its live-slot count.
+  core::ShardedObjectiveSum sums_;
   // Materialize() call counter (diagnostic; see materialize_count()).
   // `mutable` because Materialize is const; reads/writes are serialized by
   // the same external synchronization the mutation API requires.

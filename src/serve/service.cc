@@ -11,6 +11,7 @@
 #include "common/logging.h"
 #include "core/fm_linear.h"
 #include "core/fm_logistic.h"
+#include "core/objective_accumulator.h"
 #include "dp/budget.h"
 #include "eval/metrics.h"
 #include "exec/parallel.h"

@@ -8,6 +8,7 @@
 #include "baselines/histogram_grid.h"
 #include "baselines/no_privacy.h"
 #include "baselines/objective_perturbation.h"
+#include "baselines/output_perturbation.h"
 #include "common/rng.h"
 #include "eval/metrics.h"
 #include "opt/logistic_loss.h"
@@ -286,6 +287,55 @@ TEST(ObjectivePerturbationTest, HighEpsilonApproachesRegularizedOptimum) {
   ASSERT_TRUE(exact.ok());
   EXPECT_LT(linalg::MaxAbsDiff(model.ValueOrDie().omega, exact.ValueOrDie()),
             0.1);
+}
+
+
+TEST(OutputPerturbationTest, LinearUnimplementedLogisticWorks) {
+  OutputPerturbation::Options options;
+  options.epsilon = 3.2;
+  OutputPerturbation algo(options);
+  EXPECT_EQ(algo.name(), "OutPert");
+  EXPECT_TRUE(algo.is_private());
+  Rng rng(223);
+
+  const auto linear_data = MakeLogisticData(100, 2, 225);
+  EXPECT_EQ(
+      algo.Train(linear_data, data::TaskKind::kLinear, rng).status().code(),
+      StatusCode::kUnimplemented);
+
+  const auto train = MakeLogisticData(20000, 2, 227);
+  const auto test = MakeLogisticData(4000, 2, 229);
+  const auto model = algo.Train(train, data::TaskKind::kLogistic, rng);
+  ASSERT_TRUE(model.ok()) << model.status();
+  EXPECT_DOUBLE_EQ(model.ValueOrDie().epsilon_spent, 3.2);
+  EXPECT_LT(eval::MisclassificationRate(model.ValueOrDie().omega, test),
+            0.45);
+}
+
+TEST(OutputPerturbationTest, NoiseShrinksWithCardinality) {
+  // Sensitivity 2/(nλ): doubling n halves the expected parameter noise.
+  OutputPerturbation::Options options;
+  options.epsilon = 1.0;
+  options.lambda = 1e-2;
+  OutputPerturbation algo(options);
+
+  auto mean_noise = [&](size_t n, uint64_t seed) {
+    const auto train = MakeLogisticData(n, 2, 231);
+    const auto exact = opt::FitLogisticNewton(
+                           train.x, train.y,
+                           options.lambda * static_cast<double>(train.size()))
+                           .ValueOrDie();
+    double total = 0.0;
+    const int trials = 30;
+    for (int t = 0; t < trials; ++t) {
+      Rng rng(DeriveSeed(seed, t));
+      const auto model = algo.Train(train, data::TaskKind::kLogistic, rng);
+      EXPECT_TRUE(model.ok());
+      total += (model.ValueOrDie().omega - exact).Norm2();
+    }
+    return total / trials;
+  };
+  EXPECT_LT(mean_noise(8000, 300), mean_noise(1000, 400));
 }
 
 }  // namespace

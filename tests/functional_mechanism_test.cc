@@ -109,21 +109,6 @@ TEST(PerturbQuadraticTest, RejectsBadParameters) {
                    .ok());
 }
 
-TEST(PerturbPolynomialTest, PerturbsEveryCoefficient) {
-  Rng rng(121);
-  PolynomialObjective poly(2);
-  poly.AddTerm(Monomial({0, 0}), 1.25);
-  poly.AddTerm(Monomial({1, 0}), -2.34);
-  poly.AddTerm(Monomial({2, 0}), 2.06);
-  const auto noisy =
-      FunctionalMechanism::PerturbPolynomial(poly, 8.0, 0.8, rng);
-  ASSERT_TRUE(noisy.ok());
-  EXPECT_EQ(noisy.ValueOrDie().terms().size(), 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_NE(noisy.ValueOrDie().terms()[i].second, poly.terms()[i].second);
-  }
-}
-
 TEST(SpectralTrimTest, NoTrimOnPositiveDefinite) {
   const auto q = SmallSpdObjective();
   size_t trimmed = 99;

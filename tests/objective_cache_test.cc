@@ -60,6 +60,11 @@ data::RegressionDataset MakeDataset(size_t n, size_t d, bool binary,
   return ds;
 }
 
+core::ObjectiveRows RowsOf(const data::RegressionDataset& ds,
+                           const uint8_t* live = nullptr) {
+  return {ds.x.data().data(), ds.y.raw(), ds.size(), live};
+}
+
 opt::QuadraticModel DirectObjective(const data::RegressionDataset& ds,
                                     core::ObjectiveKind kind) {
   return kind == core::ObjectiveKind::kLinear
@@ -156,12 +161,45 @@ TEST(ObjectiveAccumulatorTest, SliceOfEverythingEqualsGlobal) {
       core::ObjectiveAccumulator::Build(ds, core::ObjectiveKind::kLinear);
   std::vector<size_t> all(ds.size());
   std::iota(all.begin(), all.end(), 0);
-  EXPECT_EQ(MaxUlpDistance(acc.SliceObjective(all), acc.Global()), 0u);
+  core::ShardedObjectiveSum slice(ds.dim(), core::ObjectiveKind::kLinear);
+  slice.Accumulate(0, RowsOf(ds), all);
+  EXPECT_EQ(MaxUlpDistance(slice.Reduce().Round(), acc.Global()), 0u);
 
   // Global minus everything is the empty objective.
   const auto empty = acc.TrainObjectiveForFold(all);
   EXPECT_EQ(empty.beta, 0.0);
   for (size_t i = 0; i < acc.dim(); ++i) EXPECT_EQ(empty.alpha[i], 0.0);
+}
+
+TEST(ShardedObjectiveSumTest, RangeListAndLiveMaskAgreeBitwise) {
+  // The three sequence forms share one in-order accumulate: a row range, the
+  // same rows as an index list, and a liveness mask that skips every third
+  // row (equal to the list of the survivors) must give the same bits.
+  const auto ds = MakeDataset(700, 6, true, 91);
+  const auto kind = core::ObjectiveKind::kTruncatedLogistic;
+  std::vector<size_t> all(ds.size());
+  std::iota(all.begin(), all.end(), 0);
+  core::ShardedObjectiveSum by_range(ds.dim(), kind);
+  core::ShardedObjectiveSum by_list(ds.dim(), kind);
+  by_range.Accumulate(0, RowsOf(ds), 0, ds.size());
+  by_list.Accumulate(0, RowsOf(ds), all);
+  EXPECT_TRUE(by_range.BitwiseEquals(by_list));
+
+  std::vector<uint8_t> live(ds.size(), 1);
+  std::vector<size_t> survivors;
+  for (size_t r = 0; r < ds.size(); ++r) {
+    if (r % 3 == 0) {
+      live[r] = 0;
+    } else {
+      survivors.push_back(r);
+    }
+  }
+  core::ShardedObjectiveSum masked(ds.dim(), kind);
+  core::ShardedObjectiveSum listed(ds.dim(), kind);
+  masked.Accumulate(0, RowsOf(ds, live.data()), 0, ds.size());
+  listed.Accumulate(0, RowsOf(ds), survivors);
+  EXPECT_TRUE(masked.BitwiseEquals(listed));
+  EXPECT_EQ(masked.shard_tuples(0), survivors.size());
 }
 
 TEST(ObjectiveAccumulatorTest, BuildIsBitIdenticalAcrossThreadCounts) {

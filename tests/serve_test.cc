@@ -37,6 +37,7 @@
 #include "baselines/fm_algorithm.h"
 #include "baselines/objective_perturbation.h"
 #include "baselines/output_perturbation.h"
+#include "common/io_util.h"
 #include "common/rng.h"
 #include "common/ulp.h"
 #include "core/objective_accumulator.h"
@@ -101,6 +102,14 @@ serve::IncrementalObjective StoreFromDataset(
     EXPECT_EQ(id.ValueOrDie(), i);
   }
   return store;
+}
+
+// Overwrites the little-endian u64 at `offset` of a serialized payload.
+void PatchU64(std::string* payload, size_t offset, uint64_t value) {
+  ASSERT_LE(offset + 8, payload->size());
+  for (size_t i = 0; i < 8; ++i) {
+    (*payload)[offset + i] = static_cast<char>((value >> (8 * i)) & 0xff);
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -398,6 +407,49 @@ TEST(IncrementalObjective, FullyDeadShardContributesNothingBitwise) {
   ExpectBitwiseEqual(store.Objective(), full);
 }
 
+TEST(IncrementalObjective, RestoreRejectsCountersThatContradictTheSlots) {
+  // Payload layout: dim u64 @0, kind u8 @8, next_id u64 @9, live_count u64
+  // @17, slots u64 @25, then xs, ys, one liveness byte per slot, the id
+  // table, the shard count, and per shard its sums, comps and a u32 count.
+  const auto ds = MakeDataset(3, 2, false, 113);
+  auto store = StoreFromDataset(ds, core::ObjectiveKind::kLinear);
+  std::string valid;
+  store.SerializeTo(&valid);
+  const size_t live_at = 33 + 3 * 2 * 8 + 3 * 8;
+  const auto restore = [&](const std::string& payload) {
+    serve::IncrementalObjective restored(2, core::ObjectiveKind::kLinear);
+    io::ByteReader reader(payload);
+    return restored.RestoreFrom(reader);
+  };
+  {
+    serve::IncrementalObjective restored(2, core::ObjectiveKind::kLinear);
+    io::ByteReader reader(valid);
+    ASSERT_TRUE(restored.RestoreFrom(reader).ok());
+    EXPECT_TRUE(restored.StoreStateBitwiseEquals(store));
+  }
+
+  std::string live_count = valid;
+  PatchU64(&live_count, 17, 1);
+  EXPECT_EQ(restore(live_count).code(), StatusCode::kIoError);
+
+  std::string live_byte = valid;
+  live_byte[live_at] = 2;
+  EXPECT_EQ(restore(live_byte).code(), StatusCode::kIoError);
+
+  std::string next_id = valid;
+  PatchU64(&next_id, 9, 2);  // the id table already holds id 2
+  EXPECT_EQ(restore(next_id).code(), StatusCode::kIoError);
+
+  // Revive a dead slot consistently with live_count: only the shard's own
+  // tuple count still says 2, and Objective() would trust it.
+  ASSERT_TRUE(store.Delete(1).ok());
+  std::string shard_count;
+  store.SerializeTo(&shard_count);
+  shard_count[live_at + 1] = 1;
+  PatchU64(&shard_count, 17, 3);
+  EXPECT_EQ(restore(shard_count).code(), StatusCode::kIoError);
+}
+
 // --------------------------------------------------------------------------
 // BudgetAccountant
 // --------------------------------------------------------------------------
@@ -554,6 +606,20 @@ TEST(BudgetAccountant, DiagnosticsKeepSmallEpsilonPrecision) {
       << over.message();
   EXPECT_NE(over.message().find("e-09"), std::string::npos) << over.message();
   ASSERT_TRUE(accountant->Commit(r, 1e-9).ok());
+}
+
+TEST(BudgetAccountant, RestoreRejectsAHugeChargeCount) {
+  auto accountant = serve::BudgetAccountant::Create(1.0).ValueOrDie();
+  const uint64_t r = accountant->Reserve(0.25, "train").ValueOrDie();
+  ASSERT_TRUE(accountant->Commit(r, 0.25).ok());
+  std::string payload;
+  accountant->SerializeTo(&payload);
+  // total @0, spent @8, next_reservation @16, charge_count @24: a count of
+  // 2^40 must fail on the first missing record, not allocate for all.
+  PatchU64(&payload, 24, uint64_t{1} << 40);
+  auto restored = serve::BudgetAccountant::Create(1.0).ValueOrDie();
+  io::ByteReader reader(payload);
+  EXPECT_EQ(restored->RestoreFrom(reader).code(), StatusCode::kIoError);
 }
 
 // --------------------------------------------------------------------------
