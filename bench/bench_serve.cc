@@ -5,6 +5,12 @@
 // equal the live count and Objective() must cost what a fresh store of the
 // same live tuples costs (gated at ≤ 1.5× in tools/run_bench.py).
 //
+// The throughput phases (bulk bootstrap, ingest, predict fan-out, mixed)
+// run `--repeats` times on a 1-thread pool and on the global pool
+// (FM_THREADS, default nproc) in one process, and the report keeps
+// min/median/max for both sides: tools/run_bench.py --gate fails when a
+// phase is slower with more threads.
+//
 // Deliberately self-contained (eval::Stopwatch + median-over-repeats, no
 // Google Benchmark) so these numbers — and the CI gates — exist on
 // machines without libbenchmark-dev. tools/run_bench.py --mode serve
@@ -21,11 +27,13 @@
 //               [--predicts 20000] [--mixed 10000] [--churn-live 4000]
 //               [--durable 8000] [--out BENCH_serve.json]
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -62,6 +70,26 @@ data::RegressionDataset RandomDataset(size_t n, size_t d, uint64_t seed) {
 double Median(std::vector<double> values) {
   std::sort(values.begin(), values.end());
   return values[values.size() / 2];
+}
+
+// The throughput phases run at 1 thread and at the pool's thread count:
+// rows/s for the bulk bootstrap, requests/s for the rest.
+constexpr size_t kNumPhases = 4;
+constexpr const char* kPhaseNames[kNumPhases] = {"bootstrap", "ingest",
+                                                 "predict", "mixed"};
+constexpr const char* kPhaseUnits[kNumPhases] = {"rows/s", "req/s", "req/s",
+                                                 "req/s"};
+using PhaseRates = std::array<double, kNumPhases>;
+constexpr size_t kPhasePasses = 4;
+constexpr double kWarmupSeconds = 1.5;
+
+struct Spread {
+  double min, median, max;
+};
+
+Spread SpreadOf(const std::vector<double>& values) {
+  return {*std::min_element(values.begin(), values.end()), Median(values),
+          *std::max_element(values.begin(), values.end())};
 }
 
 // Every benchmark phase must serve every request successfully — a failing
@@ -147,21 +175,8 @@ int main(int argc, char** argv) {
   // numbers measure time, not utility).
   options.total_epsilon = 1e6;
   options.seed = 20120827;
-  auto service = serve::Service::Create(options).ValueOrDie();
 
-  // --- bulk bootstrap -----------------------------------------------------
   const data::RegressionDataset base = RandomDataset(flags.n, flags.dim, 1);
-  eval::Stopwatch watch;
-  if (Status status = service->Bootstrap(base); !status.ok()) {
-    std::fprintf(stderr, "bootstrap failed: %s\n",
-                 status.ToString().c_str());
-    return 1;
-  }
-  const double bootstrap_seconds = watch.Seconds();
-  const double bootstrap_rows_per_sec =
-      static_cast<double>(flags.n) / bootstrap_seconds;
-
-  // --- ingest through the request engine ----------------------------------
   const data::RegressionDataset stream =
       RandomDataset(flags.ingest, flags.dim, 2);
   std::vector<serve::Request> ingest_log;
@@ -170,37 +185,12 @@ int main(int argc, char** argv) {
     ingest_log.push_back(
         serve::Request::Insert(stream.x.RowVector(i), stream.y[i]));
   }
-  watch.Reset();
-  auto ingest_responses = service->ExecuteLog(ingest_log);
-  const double ingest_seconds = watch.Seconds();
-  if (!AllOk(ingest_responses, "ingest")) return 1;
-  const double ingest_rps =
-      static_cast<double>(flags.ingest) / ingest_seconds;
-
-  // Publish a model so predicts have something to read.
-  if (!service
-           ->ExecuteLog({serve::Request::Train(
-               serve::TrainerKind::kFunctionalMechanism, 0.8)})[0]
-           .status.ok()) {
-    std::fprintf(stderr, "initial train failed\n");
-    return 1;
-  }
-
-  // --- predict fan-out ----------------------------------------------------
   std::vector<serve::Request> predict_log;
   predict_log.reserve(flags.predicts);
   for (size_t i = 0; i < flags.predicts; ++i) {
     predict_log.push_back(
         serve::Request::Predict(stream.x.RowVector(i % stream.size())));
   }
-  watch.Reset();
-  auto predict_responses = service->ExecuteLog(predict_log);
-  const double predict_seconds = watch.Seconds();
-  if (!AllOk(predict_responses, "predict")) return 1;
-  const double predict_rps =
-      static_cast<double>(flags.predicts) / predict_seconds;
-
-  // --- mixed workload -----------------------------------------------------
   // 1 train per 2000 requests, 1 ingest per 8, predicts otherwise — an
   // HTAP-flavored mix of co-located ingest and analytics.
   std::vector<serve::Request> mixed_log;
@@ -218,11 +208,90 @@ int main(int argc, char** argv) {
           serve::Request::Predict(stream.x.RowVector(i % stream.size())));
     }
   }
-  watch.Reset();
-  auto mixed_responses = service->ExecuteLog(mixed_log);
-  const double mixed_seconds = watch.Seconds();
-  if (!AllOk(mixed_responses, "mixed")) return 1;
-  const double mixed_rps = static_cast<double>(flags.mixed) / mixed_seconds;
+
+  // --- throughput phases at 1 thread and at `threads` ---------------------
+  // Each repeat runs the four phases (bulk bootstrap, ingest through the
+  // request engine, predict fan-out, mixed) on a fresh service over a
+  // 1-thread pool and over the global pool, in alternating order so host
+  // drift lands on both sides. tools/run_bench.py --gate fails when a phase
+  // at `threads` falls below 0.9x its 1-thread throughput.
+  eval::Stopwatch watch;
+  // Runs the four phases on a fresh service over `pool` into `rates`; false
+  // when a request failed. The service is handed to `kept` when given.
+  const auto run_phases = [&](exec::ThreadPool& pool, PhaseRates* rates,
+                              std::unique_ptr<serve::Service>* kept) {
+    serve::ServiceOptions phase_options = options;
+    phase_options.pool = &pool;
+    auto service = serve::Service::Create(phase_options).ValueOrDie();
+    watch.Reset();
+    if (Status status = service->Bootstrap(base); !status.ok()) {
+      std::fprintf(stderr, "bootstrap failed: %s\n",
+                   status.ToString().c_str());
+      return false;
+    }
+    (*rates)[0] = static_cast<double>(flags.n) / watch.Seconds();
+    // One pass of a smoke-sized log lasts about a millisecond, too short to
+    // compare two pools within 10% on a shared host, so each request phase
+    // executes its log kPhasePasses times back to back.
+    const auto timed_passes = [&](const std::vector<serve::Request>& log,
+                                  const char* phase, double* rate) {
+      watch.Reset();
+      for (size_t pass = 0; pass < kPhasePasses; ++pass) {
+        if (!AllOk(service->ExecuteLog(log), phase)) return false;
+      }
+      *rate = static_cast<double>(log.size() * kPhasePasses) / watch.Seconds();
+      return true;
+    };
+    if (!timed_passes(ingest_log, "ingest", &(*rates)[1])) return false;
+    // Publish a model so predicts have something to read.
+    if (!service
+             ->ExecuteLog({serve::Request::Train(
+                 serve::TrainerKind::kFunctionalMechanism, 0.8)})[0]
+             .status.ok()) {
+      std::fprintf(stderr, "initial train failed\n");
+      return false;
+    }
+    if (!timed_passes(predict_log, "predict", &(*rates)[2]) ||
+        !timed_passes(mixed_log, "mixed", &(*rates)[3])) {
+      return false;
+    }
+    if (kept != nullptr) *kept = std::move(service);
+    return true;
+  };
+  exec::ThreadPool serial_pool(1);
+  exec::ThreadPool& parallel_pool = exec::ThreadPool::Global();
+  std::array<std::vector<double>, kNumPhases> serial_rates, parallel_rates;
+  // The last parallel run's service carries on into the latency phases.
+  std::unique_ptr<serve::Service> service;
+  // Untimed warm-up: a VM that sat idle runs 25-50% slow for about its
+  // first second, which would bias whichever side ran first.
+  eval::Stopwatch warmup;
+  while (warmup.Seconds() < kWarmupSeconds) {
+    PhaseRates discarded{};
+    if (!run_phases(serial_pool, &discarded, nullptr) ||
+        !run_phases(parallel_pool, &discarded, nullptr)) {
+      return 1;
+    }
+  }
+  // Seven pairs at least, even in a smoke run: a fast or slow spell of the
+  // host can cover two runs in a row, which flips a median of three.
+  const size_t scaling_repeats = std::max<size_t>(7, flags.repeats);
+  for (size_t r = 0; r < scaling_repeats; ++r) {
+    for (const bool serial : {r % 2 == 0, r % 2 != 0}) {
+      PhaseRates rates{};
+      if (!run_phases(serial ? serial_pool : parallel_pool, &rates,
+                      serial ? nullptr : &service)) {
+        return 1;
+      }
+      for (size_t p = 0; p < kNumPhases; ++p) {
+        (serial ? serial_rates : parallel_rates)[p].push_back(rates[p]);
+      }
+    }
+  }
+  const double bootstrap_rows_per_sec = Median(parallel_rates[0]);
+  const double ingest_rps = Median(parallel_rates[1]);
+  const double predict_rps = Median(parallel_rates[2]);
+  const double mixed_rps = Median(parallel_rates[3]);
 
   // --- ingest-to-fresh-model latency: incremental vs full rebuild ---------
   // Incremental: one insert + one train through the engine — the objective
@@ -562,11 +631,47 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Thread scaling: min/median/max per side, and the median over repeats of
+  // the ratio between the two back-to-back runs of a repeat, which the gate
+  // reads. Single runs of a phase swing by up to 50% on a shared host, in
+  // spells that usually cover both runs of a pair.
+  const std::string all_header =
+      std::to_string(threads) + " threads: median [min, max]";
+  std::printf("\n%-10s %-7s %-32s %-32s %s\n", "phase", "unit",
+              "1 thread: median [min, max]", all_header.c_str(),
+              "pair ratio");
+  std::string scaling_json = "{\"threads\": [1, " + std::to_string(threads) +
+                             "], \"phases\": {";
+  for (size_t p = 0; p < kNumPhases; ++p) {
+    const Spread one = SpreadOf(serial_rates[p]);
+    const Spread all = SpreadOf(parallel_rates[p]);
+    std::vector<double> pair_ratios;
+    for (size_t r = 0; r < serial_rates[p].size(); ++r) {
+      pair_ratios.push_back(parallel_rates[p][r] / serial_rates[p][r]);
+    }
+    const double pair_ratio = Median(pair_ratios);
+    char cells[2][64];
+    char json[2][96];
+    for (size_t side = 0; side < 2; ++side) {
+      const Spread& spread = side == 0 ? one : all;
+      std::snprintf(cells[side], sizeof(cells[side]), "%.0f [%.0f, %.0f]",
+                    spread.median, spread.min, spread.max);
+      std::snprintf(json[side], sizeof(json[side]),
+                    "{\"min\": %.1f, \"median\": %.1f, \"max\": %.1f}",
+                    spread.min, spread.median, spread.max);
+    }
+    std::printf("%-10s %-7s %-32s %-32s %.2fx\n", kPhaseNames[p],
+                kPhaseUnits[p], cells[0], cells[1], pair_ratio);
+    if (p > 0) scaling_json += ", ";
+    scaling_json += std::string("\"") + kPhaseNames[p] + "\": {\"unit\": \"" +
+                    kPhaseUnits[p] + "\", \"one_thread\": " + json[0] +
+                    ", \"all_threads\": " + json[1] +
+                    ", \"median_pair_ratio\": " + std::to_string(pair_ratio) +
+                    "}";
+  }
+  scaling_json += "}}";
+
   std::printf("\n%-34s %14s\n", "metric", "value");
-  std::printf("%-34s %11.0f /s\n", "bootstrap rows", bootstrap_rows_per_sec);
-  std::printf("%-34s %11.0f /s\n", "ingest requests", ingest_rps);
-  std::printf("%-34s %11.0f /s\n", "predict requests", predict_rps);
-  std::printf("%-34s %11.0f /s\n", "mixed requests", mixed_rps);
   std::printf("%-34s %12.3f ms\n", "ingest->fresh model (incremental)",
               incremental_median * 1e3);
   std::printf("%-34s %12.3f ms\n", "ingest->fresh model (full rebuild)",
@@ -666,6 +771,7 @@ int main(int argc, char** argv) {
                  "  \"recovered_bitwise_equal\": true,\n"
                  "  \"metrics_overhead_durable_ratio\": %.4f,\n"
                  "  \"metrics_overhead_churn_ratio\": %.4f,\n"
+                 "  \"thread_scaling\": %s,\n"
                  "  \"metrics\": %s\n"
                  "}\n",
                  flags.n, flags.dim, live, threads, flags.repeats,
@@ -686,7 +792,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(durable_degraded),
                  durable_poisoned ? "true" : "false", recovery_seconds,
                  metrics_overhead_durable, metrics_overhead_churn,
-                 durable_batch.metrics_json.c_str());
+                 scaling_json.c_str(), durable_batch.metrics_json.c_str());
     std::fclose(f);
     std::printf("\nwrote %s\n", flags.out.c_str());
   }

@@ -13,6 +13,11 @@ namespace fm::core {
 
 namespace {
 
+// What one tuple costs per coefficient in the compensated accumulate kernel
+// (0.6–1.3 ns/coefficient measured at d = 14, with and without
+// -march=native), for the dispatch grain in AccumulateShards.
+constexpr double kNanosPerCoefficient = 1.0;
+
 // Neumaier's variant of Kahan summation: sum += v with the rounding error
 // banked in comp. Unlike plain Kahan it stays exact when |v| > |sum|.
 inline void CompensatedAdd(double& sum, double& comp, double v) {
@@ -184,15 +189,22 @@ void ShardedObjectiveSum::AccumulateShards(const ObjectiveRows& rows,
   const size_t last = (rows.count - 1) / kObjectiveShardRows;
   // Allocate every shard up front so the parallel tasks never grow the list.
   Grow(last + 1);
+  // Cost estimate for the dispatch grain: every touched row (dead ones are
+  // skipped, but cheaply) sweeps each coefficient once.
+  const size_t num_touched = last - first + 1;
+  const double index_nanos =
+      static_cast<double>(rows.count - begin) *
+      static_cast<double>(coefficients_) * kNanosPerCoefficient /
+      static_cast<double>(num_touched);
   exec::ParallelFor(
-      last - first + 1,
+      num_touched,
       [&](size_t i) {
         const size_t shard = first + i;
         const size_t shard_begin = shard * kObjectiveShardRows;
         Accumulate(shard, rows, std::max(begin, shard_begin),
                    std::min(rows.count, shard_begin + kObjectiveShardRows));
       },
-      pool != nullptr ? *pool : exec::ThreadPool::Global());
+      pool != nullptr ? *pool : exec::ThreadPool::Global(), index_nanos);
 }
 
 ShardedObjectiveSum ShardedObjectiveSum::Reduce() const {

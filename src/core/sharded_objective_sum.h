@@ -88,8 +88,10 @@ class ShardedObjectiveSum {
   /// Adds rows [begin, rows.count) to their home shards, growing the shard
   /// list to cover rows.count: one exec::ParallelFor index per touched shard
   /// on `pool` (nullptr → the global FM_THREADS pool), each shard summed in
-  /// row order. Shards are independent, so the result is bit-identical for
-  /// every pool size.
+  /// row order. The region's cost estimate is rows touched × coefficients,
+  /// so a few-row append runs inline and a bootstrap or compaction of many
+  /// full shards fans out. Shards are independent, so the result is
+  /// bit-identical for every pool size.
   void AccumulateShards(const ObjectiveRows& rows, size_t begin,
                         exec::ThreadPool* pool);
 

@@ -2,12 +2,45 @@
 
 #include <atomic>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "common/env_util.h"
 #include "obs/clock.h"
 
 namespace fm::exec {
 
 namespace {
+
+// Starts the calling worker on the `index`-th CPU (mod the count) of the
+// process's affinity mask, then widens it back to the whole mask: a
+// placement, not a pin. A kernel that does not load-balance the process's
+// cpuset (sched_load_balance=0, isolcpus) never migrates a thread off the
+// CPU it was created on, so without this every worker shares its creator's
+// CPU and the pool runs serially; elsewhere the scheduler stays free to move
+// the worker. Scheduling only — no result depends on where a task runs.
+void PlaceOnCpu(size_t index) {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  const int count = CPU_COUNT(&allowed);
+  if (count <= 1) return;
+  int skip = static_cast<int>(index % static_cast<size_t>(count));
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &allowed) || skip-- > 0) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (sched_setaffinity(0, sizeof(one), &one) == 0) {
+      sched_setaffinity(0, sizeof(allowed), &allowed);
+    }
+    return;
+  }
+#else
+  (void)index;
+#endif
+}
 
 struct WorkerIdentity {
   const ThreadPool* pool = nullptr;
@@ -71,6 +104,7 @@ void ThreadPool::Submit(std::function<void()> task) {
 bool ThreadPool::InWorkerThread() { return tls_worker.pool != nullptr; }
 
 void ThreadPool::WorkerLoop(size_t shard_index) {
+  PlaceOnCpu(shard_index);
   tls_worker.pool = this;
   tls_worker.shard = shard_index;
   Shard& shard = *shards_[shard_index];

@@ -23,6 +23,11 @@ namespace fm::exec {
 /// so stealing would add synchronization without improving balance, and a
 /// fixed task→shard mapping keeps execution easy to reason about.
 ///
+/// Each worker starts on its own CPU of the process's affinity mask (worker
+/// i on the i-th allowed CPU, wrapping), then is free to migrate: a kernel
+/// that never load-balances the cpuset would otherwise keep every worker on
+/// the CPU that created the pool.
+///
 /// Tasks must not block on other tasks in the same pool. The parallel
 /// helpers in exec/parallel.h enforce this by running nested parallel
 /// regions inline on the submitting worker (see InWorkerThread).

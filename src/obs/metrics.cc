@@ -313,15 +313,18 @@ std::string MetricsRegistry::ExportJson() const {
     out += '"' + JsonEscape(entry.first) + "\":{\"count\":" +
            FormatU64(h.Count()) + ",\"sum\":" + FormatI64(h.Sum()) +
            ",\"buckets\":[";
-    // Empty buckets are skipped, except the terminal +Inf bucket, which is
-    // always present so consumers can anchor the bucket list.
+    // Per-bucket (not cumulative) counts, each keyed by its inclusive upper
+    // bound as "upper" — Prometheus' cumulative "le" belongs to the text
+    // export only. Empty buckets are skipped, except the terminal +Inf
+    // (overflow) bucket, which is always present so consumers can anchor
+    // the bucket list.
     bool first_bucket = true;
     for (size_t b = 0; b < Histogram::kBucketCount; ++b) {
       const uint64_t n = h.BucketValue(b);
       if (n == 0 && b <= Histogram::kRegularBuckets) continue;
       if (!first_bucket) out += ',';
       first_bucket = false;
-      out += "{\"le\":\"";
+      out += "{\"upper\":\"";
       if (b == 0) {
         out += "underflow";
       } else if (b > Histogram::kRegularBuckets) {

@@ -271,7 +271,8 @@ Result<ReproArtifact> ReadReproArtifact(const std::string& path) {
   FM_RETURN_NOT_OK(DecodeServiceOptions(reader, &artifact.options));
   uint64_t count = 0;
   FM_RETURN_NOT_OK(reader.ReadU64(&count));
-  artifact.log.reserve(static_cast<size_t>(count));
+  // No reserve: the count is untrusted, and a forged one must fail on its
+  // first missing record rather than allocate for all of them.
   for (uint64_t i = 0; i < count; ++i) {
     WalRecord record;
     FM_RETURN_NOT_OK(Wal::DecodeRecord(reader, &record));

@@ -375,9 +375,10 @@ class Service {
 
   // Handlers; `position` is the request's absolute log position. All of
   // them mutate (or read for mutation) the execute_mutex_-guarded store,
-  // except DoPredict: it runs on pool worker threads inside
-  // RunPredictBatch and touches only the immutable options and a registry
-  // snapshot, so it carries no lock requirement by design.
+  // except DoPredict: inside RunPredictBatch it may run on pool worker
+  // threads (runs past the dispatch grain) and touches only the immutable
+  // options and a registry snapshot, so it carries no lock requirement by
+  // design.
   Response DoInsertLocked(const Request& request)
       FM_REQUIRES(execute_mutex_);
   Response DoDeleteLocked(const Request& request)

@@ -217,15 +217,15 @@ TEST(RegistryTest, JsonGolden) {
   registry.GetGauge("fm_epsilon_remaining")->Set(1.5);
   Histogram* h = registry.GetHistogram("fm_latency_nanos");
   h->Observe(-1);  // underflow bucket
-  h->Observe(2);   // bucket 2, le="2"
+  h->Observe(2);   // bucket 2, upper="2"
 
   const std::string expected =
       "{\"counters\":{\"fm_requests_total\":7},"
       "\"gauges\":{\"fm_epsilon_remaining\":1.5},"
       "\"histograms\":{\"fm_latency_nanos\":{\"count\":2,\"sum\":1,"
-      "\"buckets\":[{\"le\":\"underflow\",\"count\":1},"
-      "{\"le\":\"2\",\"count\":1},"
-      "{\"le\":\"+Inf\",\"count\":0}]}}}";
+      "\"buckets\":[{\"upper\":\"underflow\",\"count\":1},"
+      "{\"upper\":\"2\",\"count\":1},"
+      "{\"upper\":\"+Inf\",\"count\":0}]}}}";
   EXPECT_EQ(registry.ExportJson(), expected);
   EXPECT_EQ(registry.Export(MetricsFormat::kJson), expected);
 }

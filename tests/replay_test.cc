@@ -186,6 +186,35 @@ TEST(ReproArtifactIo, RejectsCorruptionStrictly) {
   EXPECT_FALSE(ReadReproArtifact(path).ok());
 }
 
+TEST(ReproArtifactIo, RejectsAHugeRequestCount) {
+  const std::string dir = TestDir("artifact_count");
+  WorkloadOptions workload;
+  workload.requests = 20;
+  const ServiceOptions options = WorkloadServiceOptions(workload, 3);
+  const std::vector<Request> log = GenerateWorkload(workload, 3);
+  const std::string path = dir + "/log.fmfuzz";
+  ASSERT_TRUE(WriteReproArtifact(path, options, log).ok());
+  const Result<std::string> bytes = io::ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+
+  // The u64 request count sits just before the first record. A count of
+  // 2^40 must fail on the first missing record with a typed error, not
+  // allocate for all of them.
+  size_t records = 0;
+  for (size_t i = 0; i < log.size(); ++i) {
+    records += serve::Wal::EncodeRecord(i, log[i]).size();
+  }
+  std::string patched = bytes.ValueOrDie();
+  ASSERT_GE(patched.size(), records + 8);
+  const size_t count_offset = patched.size() - records - 8;
+  std::string huge;
+  io::AppendU64(&huge, uint64_t{1} << 40);
+  patched.replace(count_offset, 8, huge);
+  ASSERT_TRUE(io::WriteFileAtomic(path, patched, false).ok());
+  const Result<ReproArtifact> read = ReadReproArtifact(path);
+  EXPECT_EQ(read.status().code(), StatusCode::kIoError);
+}
+
 // --------------------------------------------------------------------------
 // Differential replay: the contract holds
 // --------------------------------------------------------------------------

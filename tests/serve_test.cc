@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -717,6 +718,108 @@ TEST(Service, FixedLogIsBitIdenticalAcrossThreadCounts) {
   for (size_t j = 0; j < latest1->omega.size(); ++j) {
     EXPECT_EQ(UlpDistance(latest1->omega[j], latest8->omega[j]), 0u);
   }
+}
+
+// The dispatch grain (exec/parallel.h) on the serving path: a short
+// predict run is cheaper than one pool handoff, so it runs on the caller.
+TEST(Service, ShortPredictRunsSubmitNoPoolTask) {
+  exec::ThreadPool pool(4);
+  serve::ServiceOptions options;
+  options.dim = 10;
+  options.total_epsilon = 4.0;
+  options.pool = &pool;
+  auto service = serve::Service::Create(options).ValueOrDie();
+  ASSERT_TRUE(service->Bootstrap(MakeDataset(2000, 10, false, 51)).ok());
+  const auto extra = MakeDataset(64, 10, false, 53);
+  ASSERT_TRUE(service
+                  ->ExecuteLog({serve::Request::Train(
+                      serve::TrainerKind::kFunctionalMechanism, 0.5)})[0]
+                  .status.ok());
+
+  // The serve-mixed shape: one insert, then a run of 7 predicts, repeated.
+  std::vector<serve::Request> log;
+  for (size_t i = 0; i < 64; ++i) {
+    log.push_back(i % 8 == 0 ? serve::Request::Insert(extra.x.RowVector(i),
+                                                      extra.y[i])
+                             : serve::Request::Predict(extra.x.RowVector(i)));
+  }
+  const uint64_t before = pool.tasks_submitted();
+  const auto responses = service->ExecuteLog(log);
+  EXPECT_EQ(pool.tasks_submitted() - before, 0u);
+  for (size_t i = 0; i < responses.size(); ++i) {
+    EXPECT_TRUE(responses[i].status.ok()) << "request " << i;
+  }
+}
+
+// Runs long enough to pass the grain still reach the pool, and still match
+// a 1-thread service bit for bit — so the pooled serving path stays covered
+// now that short runs go inline.
+TEST(Service, RunsPastTheGrainUseThePoolAndMatchOneThread) {
+  constexpr size_t kDim = 10;
+  const auto initial = MakeDataset(1500, kDim, false, 61);
+  const auto ingest = MakeDataset(8192, kDim, false, 67);
+  std::vector<serve::Request> insert_log;
+  for (size_t i = 0; i < ingest.size(); ++i) {
+    insert_log.push_back(
+        serve::Request::Insert(ingest.x.RowVector(i), ingest.y[i]));
+  }
+  std::vector<serve::Request> predict_log;
+  predict_log.push_back(
+      serve::Request::Train(serve::TrainerKind::kFunctionalMechanism, 0.5));
+  for (size_t i = 0; i < 8192; ++i) {
+    predict_log.push_back(serve::Request::Predict(ingest.x.RowVector(i)));
+  }
+
+  struct Run {
+    std::vector<serve::Response> responses;
+    uint64_t insert_tasks = 0;
+    uint64_t predict_tasks = 0;
+    std::unique_ptr<serve::Service> service;
+  };
+  const auto run = [&](exec::ThreadPool& pool) {
+    serve::ServiceOptions options;
+    options.dim = kDim;
+    options.total_epsilon = 4.0;
+    options.seed = 0x6a1;
+    options.pool = &pool;
+    Run out;
+    out.service = serve::Service::Create(options).ValueOrDie();
+    EXPECT_TRUE(out.service->Bootstrap(initial).ok());
+    uint64_t before = pool.tasks_submitted();
+    out.responses = out.service->ExecuteLog(insert_log);
+    out.insert_tasks = pool.tasks_submitted() - before;
+    before = pool.tasks_submitted();
+    const auto predicts = out.service->ExecuteLog(predict_log);
+    out.predict_tasks = pool.tasks_submitted() - before;
+    out.responses.insert(out.responses.end(), predicts.begin(),
+                         predicts.end());
+    return out;
+  };
+
+  exec::ThreadPool pool1(1);
+  exec::ThreadPool pool4(4);
+  const Run one = run(pool1);
+  const Run four = run(pool4);
+  EXPECT_EQ(one.insert_tasks, 0u);
+  EXPECT_EQ(one.predict_tasks, 0u);
+  EXPECT_GT(four.insert_tasks, 0u);
+  EXPECT_LE(four.insert_tasks, pool4.num_threads());
+  EXPECT_GT(four.predict_tasks, 0u);
+  EXPECT_LE(four.predict_tasks, pool4.num_threads());
+
+  ASSERT_EQ(one.responses.size(), four.responses.size());
+  for (size_t i = 0; i < one.responses.size(); ++i) {
+    ASSERT_TRUE(one.responses[i].status.ok()) << "request " << i;
+    EXPECT_EQ(one.responses[i].status, four.responses[i].status);
+    EXPECT_EQ(one.responses[i].id, four.responses[i].id) << "request " << i;
+    EXPECT_EQ(UlpDistance(one.responses[i].value, four.responses[i].value),
+              0u)
+        << "request " << i;
+    EXPECT_EQ(one.responses[i].model_version,
+              four.responses[i].model_version);
+  }
+  EXPECT_TRUE(one.service->objective().StoreStateBitwiseEquals(
+      four.service->objective()));
 }
 
 TEST(Service, IncrementalModelMatchesScratchRetrainBitwise) {

@@ -33,7 +33,13 @@ equal to that fresh store, so the perf gate can never pass on a wrong
 store), or (3) the telemetry surface is broken — the report must carry a
 ``metrics`` snapshot (docs/OBSERVABILITY.md) and its fault-cleanliness
 gauges (WAL transient retries / short writes / poisoning, degraded-mode
-rejections) must all read zero on the healthy benchmark volume.
+rejections) must all read zero on the healthy benchmark volume, or (4) a
+throughput phase (bootstrap, ingest, predict, mixed) is slower with more
+threads — bench_serve runs each on a 1-thread pool and on the global pool
+(FM_THREADS, default nproc) in one process, in back-to-back pairs, and the
+median pair's nproc run must reach SERVE_MIN_THREAD_SCALING x its 1-thread
+run. Serve mode also records the host (CPU model, nproc, kernel) in the
+report.
 """
 
 import argparse
@@ -62,6 +68,33 @@ SERVE_GATE_MIN_N = 100000
 # inside bench_serve), so the ratio measures pure overhead; the headroom
 # absorbs timer noise on shared runners.
 SERVE_CHURN_MAX_POST_VS_FRESH = 1.5
+
+# A throughput phase at nproc threads must reach this share of its 1-thread
+# throughput: the median, over repeats, of the ratio between a repeat's two
+# back-to-back runs. Single runs of a phase swing by up to 50% on a shared
+# host in spells that usually cover both runs of a pair, and a lucky run on
+# one side moves a best-of or median-of-side ratio by as much.
+SERVE_MIN_THREAD_SCALING = 0.9
+
+
+def host_fingerprint():
+    """What a throughput number depends on besides the code."""
+    cpu_model = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    cpu_model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "machine": platform.machine(),
+        "system": platform.system(),
+        "kernel": platform.release(),
+        "cpu_model": cpu_model,
+        "nproc": os.cpu_count(),
+    }
 
 
 def resolve_min_time_arg(binary, min_time):
@@ -144,6 +177,10 @@ def run_serve_mode(args):
 
     with open(out) as f:
         report = json.load(f)
+    report["host"] = host_fingerprint()
+    with open(out, "w") as f:
+        json.dump(report, f, indent=2)
+        f.write("\n")
     print(f"\nwrote {out}")
 
     # Durability phase (informational, no perf gate): WAL group-commit
@@ -213,6 +250,32 @@ def run_serve_mode(args):
             raise SystemExit(1)
         print("gate passed: fault counters clean (0 retries, 0 degraded "
               "rejections, WAL not poisoned)")
+
+        # Thread scaling: more threads must never make a phase slower.
+        scaling = report.get("thread_scaling")
+        if not isinstance(scaling, dict) or not scaling.get("phases"):
+            print("GATE FAILURE: BENCH_serve.json has no thread_scaling "
+                  "phases", file=sys.stderr)
+            raise SystemExit(1)
+        threads = scaling["threads"][-1]
+        failures = []
+        ratios = []
+        for phase, spread in scaling["phases"].items():
+            ratio = spread["median_pair_ratio"]
+            ratios.append(f"{phase} {ratio:.2f}x")
+            if ratio < SERVE_MIN_THREAD_SCALING:
+                failures.append(
+                    f"{phase} at {threads} threads reaches {ratio:.2f}x its "
+                    f"1-thread throughput (medians "
+                    f"{spread['all_threads']['median']:.0f} vs "
+                    f"{spread['one_thread']['median']:.0f} {spread['unit']})")
+        if failures:
+            for failure in failures:
+                print(f"GATE FAILURE: {failure}; the floor is "
+                      f"{SERVE_MIN_THREAD_SCALING}x", file=sys.stderr)
+            raise SystemExit(1)
+        print(f"gate passed: no phase is slower at {threads} threads than "
+              f"at 1 (median pair ratios: {', '.join(ratios)})")
 
         # Telemetry surface (docs/OBSERVABILITY.md): the report must embed
         # the durable run's metrics snapshot — a missing/empty object means
