@@ -1,8 +1,5 @@
 #include "common/io_util.h"
 
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstring>
 
 #include "common/io_env.h"
@@ -157,14 +154,6 @@ Status ByteReader::ReadDoubleArray(std::vector<double>* out, size_t count) {
 
 Result<std::string> ReadFileToString(const std::string& path) {
   return ReadFileToString(Env::Default(), path);
-}
-
-Status SyncFd(int fd) {
-  if (::fsync(fd) != 0) {
-    return Status::IoError(std::string("fsync failed: ") +
-                           std::strerror(errno));
-  }
-  return Status::OK();
 }
 
 Status WriteFileAtomic(const std::string& path, const std::string& contents,

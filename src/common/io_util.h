@@ -106,9 +106,6 @@ Status TruncateFile(const std::string& path, uint64_t size);
 /// Size of the file at `path` in bytes.
 Result<uint64_t> FileSize(const std::string& path);
 
-/// fsync(2) on an open descriptor, as a Status.
-Status SyncFd(int fd);
-
 }  // namespace fm::io
 
 #endif  // FM_COMMON_IO_UTIL_H_

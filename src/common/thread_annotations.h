@@ -70,7 +70,7 @@
 #define FM_EXCLUDES(...) FM_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 
 /// Lock-order declaration on a mutex member: this mutex is always acquired
-/// before `...` (e.g. Service::execute_mutex_ before queue_mutex_).
+/// before `...` (another mutex member of the same object).
 #define FM_ACQUIRED_BEFORE(...) \
   FM_THREAD_ANNOTATION(acquired_before(__VA_ARGS__))
 #define FM_ACQUIRED_AFTER(...) \

@@ -42,13 +42,8 @@ void PlaceOnCpu(size_t index) {
 #endif
 }
 
-struct WorkerIdentity {
-  const ThreadPool* pool = nullptr;
-  size_t shard = 0;
-};
-
-// Identifies the pool/shard the current thread belongs to, if any.
-thread_local WorkerIdentity tls_worker;
+// The pool the current thread works for, if any.
+thread_local const ThreadPool* tls_worker_pool = nullptr;
 
 }  // namespace
 
@@ -76,37 +71,22 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  size_t index;
-  bool to_front = false;
-  if (tls_worker.pool == this) {
-    // Nested submission: run on the submitting worker's own shard, ahead of
-    // older foreign work, so a worker waiting on its children always finds
-    // them at the front of its queue.
-    index = tls_worker.shard;
-    to_front = true;
-  } else {
-    index = next_shard_.fetch_add(1, std::memory_order_relaxed) %
-            shards_.size();
-  }
-  Shard& shard = *shards_[index];
+  Shard& shard =
+      *shards_[next_shard_.fetch_add(1, std::memory_order_relaxed) %
+               shards_.size()];
   {
     MutexLock lock(shard.mutex);
-    if (to_front) {
-      shard.tasks.push_front(std::move(task));
-    } else {
-      shard.tasks.push_back(std::move(task));
-    }
+    shard.tasks.push_back(std::move(task));
   }
   submitted_.Increment();
   shard.cv.NotifyOne();
 }
 
-bool ThreadPool::InWorkerThread() { return tls_worker.pool != nullptr; }
+bool ThreadPool::InWorkerThread() { return tls_worker_pool != nullptr; }
 
 void ThreadPool::WorkerLoop(size_t shard_index) {
   PlaceOnCpu(shard_index);
-  tls_worker.pool = this;
-  tls_worker.shard = shard_index;
+  tls_worker_pool = this;
   Shard& shard = *shards_[shard_index];
   for (;;) {
     std::function<void()> task;

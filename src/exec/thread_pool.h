@@ -28,9 +28,11 @@ namespace fm::exec {
 /// that never load-balances the cpuset would otherwise keep every worker on
 /// the CPU that created the pool.
 ///
-/// Tasks must not block on other tasks in the same pool. The parallel
-/// helpers in exec/parallel.h enforce this by running nested parallel
-/// regions inline on the submitting worker (see InWorkerThread).
+/// Tasks must not block on other tasks in the same pool: a task submitted
+/// from a worker is queued like any other, behind whatever its shard
+/// already holds. The parallel helpers in exec/parallel.h keep to this by
+/// running nested parallel regions inline on the calling worker (see
+/// InWorkerThread).
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).
@@ -46,10 +48,8 @@ class ThreadPool {
   /// Number of worker threads.
   size_t num_threads() const { return workers_.size(); }
 
-  /// Enqueues `task` on the next shard. Thread-safe; may be called from
-  /// worker threads (nested submission), in which case the task is pushed
-  /// to the submitting worker's own shard front so it runs before older
-  /// foreign work and nested waits cannot deadlock the pool.
+  /// Enqueues `task` at the back of the next shard (round-robin).
+  /// Thread-safe; may be called from worker threads.
   void Submit(std::function<void()> task);
 
   /// True when called from one of *any* pool's worker threads. Used by the

@@ -11,8 +11,9 @@ namespace fm::serve {
 
 namespace {
 
-// Tolerates round-off when exhausting the budget or a reservation exactly
-// (matches dp::PrivacyAccountant's slack).
+// Tolerates round-off when exhausting the budget or settling a reservation
+// exactly: a sum of charges that equals the total in exact arithmetic may
+// land a few ulps above it in floating point.
 constexpr double kSlack = 1e-12;
 
 // std::to_string renders doubles with 6 fixed decimals, which collapses
@@ -47,27 +48,6 @@ Result<uint64_t> BudgetAccountant::Reserve(double epsilon,
   reserved_epsilon_ += epsilon;
   pending_.emplace(id, Pending{epsilon, label});
   return id;
-}
-
-Status BudgetAccountant::Commit(uint64_t reservation, double actual_epsilon) {
-  FM_RETURN_NOT_OK(dp::ValidateEpsilon(actual_epsilon));
-  MutexLock lock(mutex_);
-  const auto it = pending_.find(reservation);
-  if (it == pending_.end()) {
-    return Status::NotFound("unknown or already-settled reservation " +
-                            std::to_string(reservation));
-  }
-  if (actual_epsilon > it->second.epsilon + kSlack) {
-    return Status::InvalidArgument(
-        "commit of " + FormatEpsilon(actual_epsilon) +
-        " exceeds the reserved " + FormatEpsilon(it->second.epsilon) + " (" +
-        it->second.label + ")");
-  }
-  reserved_epsilon_ -= it->second.epsilon;
-  spent_epsilon_ += actual_epsilon;
-  charges_.push_back(ChargeRecord{actual_epsilon, it->second.label});
-  pending_.erase(it);
-  return Status::OK();
 }
 
 Status BudgetAccountant::Settle(uint64_t reservation, double actual_epsilon) {

@@ -301,8 +301,6 @@ const char* BatchingModeToString(BatchingMode mode) {
       return "single";
     case BatchingMode::kRandomChunks:
       return "random";
-    case BatchingMode::kDrain:
-      return "drain";
   }
   return "?";
 }
@@ -367,7 +365,6 @@ size_t NextChunkSize(BatchingMode mode, Rng& rng, size_t remaining_to_capture,
     case BatchingMode::kSingle:
       return std::min<size_t>(1, log_remaining);
     case BatchingMode::kRandomChunks:
-    case BatchingMode::kDrain:
       if (rng.Uniform() < 0.10) return 0;  // empty batch
       return std::min(remaining_to_capture,
                       1 + static_cast<size_t>(rng.UniformInt(7)));
@@ -455,13 +452,7 @@ Result<ReplayObservation> ExecuteReplay(const ServiceOptions& options,
         log.begin() + static_cast<std::ptrdiff_t>(position);
     const std::vector<Request> batch(begin,
                                      begin + static_cast<std::ptrdiff_t>(chunk));
-    std::vector<Response> responses;
-    if (knobs.batching == BatchingMode::kDrain) {
-      for (const Request& request : batch) service->Enqueue(request);
-      responses = service->Drain();
-    } else {
-      responses = service->ExecuteLog(batch);
-    }
+    const std::vector<Response> responses = service->ExecuteLog(batch);
     if (responses.size() != batch.size()) {
       return Status::Internal("replay produced " +
                               std::to_string(responses.size()) +

@@ -20,7 +20,7 @@ namespace fm::serve {
 /// ServiceOptions, every response and the full service state are a pure
 /// function of the log — bit-identical for every FM_THREADS value, both
 /// FM_BLOCKED_LINALG modes, every batching schedule (one big ExecuteLog,
-/// per-request calls, random chunks, Enqueue/Drain), and every
+/// per-request calls, random chunks), and every
 /// crash/recovery schedule (Service::Recover after the WAL is truncated at
 /// an arbitrary byte). The harness turns that sentence into a machine-
 /// checkable invariant over arbitrary workloads:
@@ -115,8 +115,8 @@ Result<ReproArtifact> ReadReproArtifact(const std::string& path);
 // ---------------------------------------------------------------------------
 
 /// How the replayer feeds the log to the service. All modes are required
-/// to be response- and state-equivalent; kRandomChunks and kDrain also
-/// inject empty batches (ExecuteLog({}) / empty Drain()).
+/// to be response- and state-equivalent; kRandomChunks also injects empty
+/// batches (ExecuteLog({})).
 enum class BatchingMode {
   /// One ExecuteLog per checkpoint interval (the reference schedule).
   kCheckpointChunks,
@@ -124,8 +124,6 @@ enum class BatchingMode {
   kSingle,
   /// Random-sized ExecuteLog chunks (schedule_seed), empty calls included.
   kRandomChunks,
-  /// Enqueue random-sized runs, then Drain.
-  kDrain,
 };
 
 const char* BatchingModeToString(BatchingMode mode);
@@ -202,7 +200,7 @@ struct DifferentialOptions {
   bool both_kernel_modes = true;
   std::vector<BatchingMode> batchings = {
       BatchingMode::kCheckpointChunks, BatchingMode::kSingle,
-      BatchingMode::kRandomChunks, BatchingMode::kDrain};
+      BatchingMode::kRandomChunks};
   /// Crash/recover points per crash run; for every (threads, kernel mode)
   /// pair one additional kRandomChunks run executes with this many injected
   /// crashes. 0 disables crash runs (then no scratch_dir is needed).

@@ -90,7 +90,6 @@ struct Service::Telemetry {
                                 "\"}");
     }
     batch_requests = registry.GetHistogram("fm_serve_batch_requests");
-    queue_nanos = registry.GetHistogram("fm_serve_queue_nanos");
     wal_commit_records = registry.GetHistogram("fm_wal_commit_records");
     wal_fsync_nanos = registry.GetHistogram("fm_wal_fsync_nanos");
     wal_syncs = registry.GetCounter("fm_wal_syncs_total");
@@ -112,7 +111,6 @@ struct Service::Telemetry {
   obs::Counter* outcomes[kNumRequestKinds][kNumOutcomeClasses];
   obs::Histogram* request_nanos[kNumRequestKinds];
   obs::Histogram* batch_requests;
-  obs::Histogram* queue_nanos;
   obs::Histogram* wal_commit_records;
   obs::Histogram* wal_fsync_nanos;
   obs::Counter* wal_syncs;
@@ -278,7 +276,7 @@ std::vector<Response> Service::ExecuteLogLocked(
     const std::vector<Request>& log, bool append_to_wal) {
   std::vector<Response> out = ExecuteLogImplLocked(log, append_to_wal);
   // The single outcome-recording point: every execution path — the
-  // WAL-commit-failure early return, the degraded read-only path, and the
+  // WAL-commit-failure early return, degraded read-only batches, and the
   // normal path — returns through here, so each request records exactly
   // one outcome metric per execution (a client retry is a new execution
   // and counts again, by design).
@@ -290,16 +288,20 @@ std::vector<Response> Service::ExecuteLogImplLocked(
     const std::vector<Request>& log, bool append_to_wal) {
   std::vector<Response> out(log.size());
   const uint64_t base = next_position_.load(std::memory_order_relaxed);
+  // Degraded or poisoned (docs/FAULTS.md): predicts and evaluates serve the
+  // last durable state and every mutating request is rejected. Nothing
+  // consumes a log position or touches the WAL: positions must keep
+  // meaning "durably logged request" or a recovered replica's
+  // Rng::Fork(seed, position) train streams would diverge from this
+  // service's after a resume.
+  const bool read_only = serving_mode_.load(std::memory_order_relaxed) !=
+                         static_cast<int>(ServingMode::kNormal);
   obs::Span batch_span;
   if (telemetry_ != nullptr && telemetry_->tracer != nullptr &&
       !log.empty()) {
     batch_span = telemetry_->tracer->StartSpan("execute_log");
   }
-  if (append_to_wal && wal_ != nullptr && !log.empty()) {
-    if (serving_mode_.load(std::memory_order_relaxed) !=
-        static_cast<int>(ServingMode::kNormal)) {
-      return ExecuteReadOnlyLocked(log);
-    }
+  if (!read_only && append_to_wal && wal_ != nullptr && !log.empty()) {
     // WAL-before-state: the whole batch becomes durable (one group commit)
     // before anything executes. If it cannot, nothing executes — no log
     // position is consumed and no state changes — and every request
@@ -340,6 +342,8 @@ std::vector<Response> Service::ExecuteLogImplLocked(
       }
       if (kind == RequestKind::kPredict) {
         RunPredictBatch(log, i, j, out);
+      } else if (read_only) {
+        for (size_t k = i; k < j; ++k) out[k] = DegradedRejectionLocked();
       } else {
         RunInsertBatchLocked(log, i, j, out);
       }
@@ -349,23 +353,27 @@ std::vector<Response> Service::ExecuteLogImplLocked(
         request_span = telemetry_->tracer->StartChild(
             batch_span, RequestKindToString(kind));
       }
-      switch (kind) {
-        case RequestKind::kDelete:
-          out[i] = DoDeleteLocked(log[i]);
-          break;
-        case RequestKind::kUpdate:
-          out[i] = DoUpdateLocked(log[i]);
-          break;
-        case RequestKind::kTrain:
-          out[i] = DoTrainLocked(log[i], base + i);
-          break;
-        case RequestKind::kCompact:
-          out[i] = DoCompactLocked();
-          break;
-        case RequestKind::kEvaluate:
-        default:
-          out[i] = DoEvaluateLocked();
-          break;
+      if (read_only && kind != RequestKind::kEvaluate) {
+        out[i] = DegradedRejectionLocked();
+      } else {
+        switch (kind) {
+          case RequestKind::kDelete:
+            out[i] = DoDeleteLocked(log[i]);
+            break;
+          case RequestKind::kUpdate:
+            out[i] = DoUpdateLocked(log[i]);
+            break;
+          case RequestKind::kTrain:
+            out[i] = DoTrainLocked(log[i], base + i);
+            break;
+          case RequestKind::kCompact:
+            out[i] = DoCompactLocked();
+            break;
+          case RequestKind::kEvaluate:
+          default:
+            out[i] = DoEvaluateLocked();
+            break;
+        }
       }
     }
     if (timing) {
@@ -375,6 +383,7 @@ std::vector<Response> Service::ExecuteLogImplLocked(
     }
     i = segment_end;
   }
+  if (read_only) return out;
   next_position_.store(base + log.size(), std::memory_order_release);
   MaybeAutoCheckpointLocked();
   return out;
@@ -396,42 +405,6 @@ void Service::RecordSegmentLatency(RequestKind kind, int64_t nanos,
   if (telemetry_ == nullptr || count == 0) return;
   telemetry_->request_nanos[static_cast<size_t>(kind)]->ObserveN(
       nanos / static_cast<int64_t>(count), count);
-}
-
-uint64_t Service::Enqueue(Request request) {
-  // telemetry_ is immutable after construction, so reading it without the
-  // execution mutex is safe.
-  const int64_t now =
-      telemetry_ != nullptr ? telemetry_->clock->NowNanos() : 0;
-  MutexLock lock(queue_mutex_);
-  const uint64_t ticket = queue_base_ + queue_.size();
-  queue_.push_back(std::move(request));
-  if (telemetry_ != nullptr) queue_enqueue_nanos_.push_back(now);
-  return ticket;
-}
-
-std::vector<Response> Service::Drain() {
-  // Take the execution mutex before swapping the queue out: two racing
-  // Drain calls then claim and execute their batches strictly one after
-  // the other, in ticket order — with the swap outside the mutex a thread
-  // could claim batch k+1 and execute it before (or interleaved with) the
-  // thread holding batch k.
-  MutexLock lock(execute_mutex_);
-  std::vector<Request> batch;
-  std::vector<int64_t> enqueued_nanos;
-  {
-    MutexLock queue_lock(queue_mutex_);
-    batch.swap(queue_);
-    enqueued_nanos.swap(queue_enqueue_nanos_);
-    queue_base_ += batch.size();
-  }
-  if (telemetry_ != nullptr && !enqueued_nanos.empty()) {
-    const int64_t now = telemetry_->clock->NowNanos();
-    for (const int64_t enqueued : enqueued_nanos) {
-      telemetry_->queue_nanos->Observe(now - enqueued);
-    }
-  }
-  return ExecuteLogLocked(batch, /*append_to_wal=*/true);
 }
 
 void Service::EnterFaultModeLocked(const Status& cause) {
@@ -463,32 +436,6 @@ Response Service::DegradedRejectionLocked() {
                 : "degraded; retry after TryResume()") +
       "): " + degrade_reason_);
   return r;
-}
-
-std::vector<Response> Service::ExecuteReadOnlyLocked(
-    const std::vector<Request>& log) {
-  // Read-only service on the last durable state. Nothing here consumes a
-  // log position or touches the WAL: positions must keep meaning "durably
-  // logged request" or a recovered replica's Rng::Fork(seed, position)
-  // train streams would diverge from this service's after a resume.
-  std::vector<Response> out(log.size());
-  size_t i = 0;
-  while (i < log.size()) {
-    if (log[i].kind == RequestKind::kPredict) {
-      size_t j = i;
-      while (j < log.size() && log[j].kind == RequestKind::kPredict) ++j;
-      RunPredictBatch(log, i, j, out);
-      i = j;
-      continue;
-    }
-    if (log[i].kind == RequestKind::kEvaluate) {
-      out[i] = DoEvaluateLocked();
-    } else {
-      out[i] = DegradedRejectionLocked();
-    }
-    ++i;
-  }
-  return out;
 }
 
 Status Service::TryResume() {
@@ -808,21 +755,8 @@ Status Service::EnableDurability(const DurabilityOptions& durability) {
         "the log) — durability needs a snapshot_dir for the base "
         "checkpoint");
   }
-  // Default the WAL's time seam to the service's clock so one injected
-  // clock drives every timestamp. Runtime wiring only, like `env`.
-  DurabilityOptions resolved = durability;
-  if (resolved.wal.clock == nullptr) resolved.wal.clock = options_.clock;
   options_fingerprint_ = OptionsFingerprint(options_);
-  FM_ASSIGN_OR_RETURN(wal_, Wal::Open(resolved.wal, options_fingerprint_));
-  if (telemetry_ != nullptr) {
-    WalTelemetry sink;
-    sink.commit_batch_records = telemetry_->wal_commit_records;
-    sink.fsync_nanos = telemetry_->wal_fsync_nanos;
-    sink.syncs = telemetry_->wal_syncs;
-    sink.commit_failures = telemetry_->wal_commit_failures;
-    wal_->set_telemetry(sink);
-  }
-  durability_ = std::make_unique<DurabilityOptions>(resolved);
+  FM_RETURN_NOT_OK(AttachWalLocked(durability));
   last_checkpoint_position_ = next_position_.load(std::memory_order_relaxed);
   if (!durability_->snapshot_dir.empty()) {
     // Base checkpoint: captures whatever exists now (typically Bootstrap
@@ -834,6 +768,24 @@ Status Service::EnableDurability(const DurabilityOptions& durability) {
       return checkpointed;
     }
   }
+  return Status::OK();
+}
+
+Status Service::AttachWalLocked(const DurabilityOptions& durability) {
+  // Default the WAL's time seam to the service's clock so one injected
+  // clock drives every timestamp. Runtime wiring only, like `env`.
+  DurabilityOptions resolved = durability;
+  if (resolved.wal.clock == nullptr) resolved.wal.clock = options_.clock;
+  FM_ASSIGN_OR_RETURN(wal_, Wal::Open(resolved.wal, options_fingerprint_));
+  if (telemetry_ != nullptr) {
+    WalTelemetry sink;
+    sink.commit_batch_records = telemetry_->wal_commit_records;
+    sink.fsync_nanos = telemetry_->wal_fsync_nanos;
+    sink.syncs = telemetry_->wal_syncs;
+    sink.commit_failures = telemetry_->wal_commit_failures;
+    wal_->set_telemetry(sink);
+  }
+  durability_ = std::make_unique<DurabilityOptions>(resolved);
   return Status::OK();
 }
 
@@ -905,19 +857,7 @@ Result<std::unique_ptr<Service>> Service::Recover(
 
   // 3. Attach the WAL for appending; Open truncates any torn tail so new
   //    records land on a record boundary.
-  DurabilityOptions resolved = durability;
-  if (resolved.wal.clock == nullptr) resolved.wal.clock = options.clock;
-  FM_ASSIGN_OR_RETURN(svc->wal_,
-                      Wal::Open(resolved.wal, svc->options_fingerprint_));
-  if (svc->telemetry_ != nullptr) {
-    WalTelemetry sink;
-    sink.commit_batch_records = svc->telemetry_->wal_commit_records;
-    sink.fsync_nanos = svc->telemetry_->wal_fsync_nanos;
-    sink.syncs = svc->telemetry_->wal_syncs;
-    sink.commit_failures = svc->telemetry_->wal_commit_failures;
-    svc->wal_->set_telemetry(sink);
-  }
-  svc->durability_ = std::make_unique<DurabilityOptions>(resolved);
+  FM_RETURN_NOT_OK(svc->AttachWalLocked(durability));
   svc->last_checkpoint_position_ = snapshot_position;
   if (svc->telemetry_ != nullptr) {
     obs::MetricsRegistry& reg = svc->telemetry_->registry;
@@ -1021,10 +961,6 @@ void Service::PollGaugesLocked() {
       static_cast<double>(serving_mode_.load(std::memory_order_acquire)));
   set("fm_serve_degraded_rejections",
       static_cast<double>(degraded_rejections()));
-  {
-    MutexLock queue_lock(queue_mutex_);
-    set("fm_serve_queue_depth", static_cast<double>(queue_.size()));
-  }
   exec::ThreadPool& p = pool();
   set("fm_pool_threads", static_cast<double>(p.num_threads()));
   set("fm_pool_queue_depth", static_cast<double>(p.queue_depth()));

@@ -257,33 +257,18 @@ class Service {
   }
 
   /// Executes `log` in order with batched parallelism (see class comment)
-  /// and returns one Response per request, in log order. Thread-safe:
-  /// concurrent callers serialize on an internal execution mutex, so two
-  /// racing ExecuteLog/Drain calls execute their batches back to back,
-  /// never interleaved. When durability is enabled the batch is appended
-  /// and committed to the WAL first; if that fails, nothing executes and
-  /// every response carries the IO error.
+  /// and returns one Response per request, in log order. The one way into
+  /// the engine, for any number of concurrent clients: racing callers
+  /// serialize on an internal execution mutex, so their batches execute
+  /// back to back, never interleaved. When durability is enabled the batch
+  /// is appended and committed to the WAL first; if that fails, nothing
+  /// executes and every response carries the IO error. While the service
+  /// is degraded or poisoned the batch is served read-only (see
+  /// ServingMode).
   std::vector<Response> ExecuteLog(const std::vector<Request>& log);
 
-  /// Thread-safe request submission for concurrent clients: appends to the
-  /// internal queue and returns the request's ticket — its ordinal among
-  /// all Enqueued requests. Tickets coincide with log positions only when
-  /// every request flows through Enqueue/Drain; after direct ExecuteLog
-  /// calls the two counters diverge, so correlate trains with their
-  /// published models via Response::model_version (or
-  /// ModelSnapshot::log_position), not via the ticket.
-  uint64_t Enqueue(Request request);
-
-  /// Drains the queue in ticket order through ExecuteLog and returns the
-  /// drained requests' responses (ticket order). Thread-safe: racing Drain
-  /// calls serialize on the execution mutex — the queue swap happens under
-  /// it, so each drained batch executes atomically in ticket order. Enqueue
-  /// may race with it (requests enqueued during a drain land in the next
-  /// one).
-  std::vector<Response> Drain();
-
   /// Log positions consumed so far. Safe to read concurrently with an
-  /// in-flight Drain/ExecuteLog (atomic; updated once per executed batch).
+  /// in-flight ExecuteLog (atomic; updated once per executed batch).
   uint64_t log_position() const {
     return next_position_.load(std::memory_order_acquire);
   }
@@ -306,7 +291,7 @@ class Service {
   const ModelRegistry& registry() const { return registry_; }
   const ServiceOptions& options() const { return options_; }
 
-  /// Polls every gauge (budget ledger, store occupancy, WAL, pool, queue)
+  /// Polls every gauge (budget ledger, store occupancy, WAL, pool)
   /// and returns the full registry as one JSON object. "{}" when metrics
   /// are disabled. Thread-safe (serializes on the execution mutex).
   std::string MetricsSnapshot();
@@ -338,7 +323,7 @@ class Service {
   // only during Recover's replay — those records are already in the log.
   // Every execution path funnels through here, and the wrapper records
   // exactly one outcome metric per request — the WAL-commit-failure early
-  // return, the degraded read-only path, and the normal path included.
+  // return, degraded read-only batches, and the normal path included.
   std::vector<Response> ExecuteLogLocked(const std::vector<Request>& log,
                                          bool append_to_wal)
       FM_REQUIRES(execute_mutex_);
@@ -361,15 +346,14 @@ class Service {
   Status WriteSnapshotLocked() FM_REQUIRES(execute_mutex_);
   void MaybeAutoCheckpointLocked() FM_REQUIRES(execute_mutex_);
 
+  // Attaches the WAL at durability.wal.path (defaulting its clock to the
+  // service's) with the service's telemetry sinks, and records the
+  // resolved options. Shared by EnableDurability and Recover.
+  Status AttachWalLocked(const DurabilityOptions& durability)
+      FM_REQUIRES(execute_mutex_);
+
   // Degraded-mode machinery; all require execute_mutex_.
   void EnterFaultModeLocked(const Status& cause)
-      FM_REQUIRES(execute_mutex_);
-  // Read-only execution while degraded: predicts/evaluates serve the last
-  // durable state WITHOUT consuming log positions or touching the WAL
-  // (consumed-but-unlogged positions would desync the Rng::Fork(seed,
-  // position) train streams between this service and a recovered replica);
-  // every mutating request is rejected with kDegradedReadOnly.
-  std::vector<Response> ExecuteReadOnlyLocked(const std::vector<Request>& log)
       FM_REQUIRES(execute_mutex_);
   Response DegradedRejectionLocked() FM_REQUIRES(execute_mutex_);
 
@@ -408,12 +392,10 @@ class Service {
   ServiceOptions options_;
   std::unique_ptr<BudgetAccountant> accountant_;
   ModelRegistry registry_;
-  // Serializes all execution (ExecuteLog, Drain, Checkpoint,
-  // EnableDurability) so racing callers cannot interleave batches; the
-  // counters below stay atomic so the read-only accessors need not take it.
-  // Lock order: execute_mutex_ is always taken before queue_mutex_ (Drain,
-  // PollGaugesLocked); never the reverse.
-  Mutex execute_mutex_ FM_ACQUIRED_BEFORE(queue_mutex_);
+  // Serializes all execution (ExecuteLog, Checkpoint, EnableDurability)
+  // so racing callers cannot interleave batches; the counters below stay
+  // atomic so the read-only accessors need not take it.
+  Mutex execute_mutex_;
   IncrementalObjective objective_ FM_GUARDED_BY(execute_mutex_);
   std::atomic<uint64_t> next_position_{0};
   std::atomic<uint64_t> compaction_count_{0};
@@ -435,13 +417,6 @@ class Service {
   // pointer after construction, so hot paths test it without a lock.
   struct Telemetry;
   std::unique_ptr<Telemetry> telemetry_;
-
-  Mutex queue_mutex_;
-  std::vector<Request> queue_ FM_GUARDED_BY(queue_mutex_);
-  // Parallel to queue_ when telemetry is on: Enqueue timestamps, so Drain
-  // can observe per-request queue wait.
-  std::vector<int64_t> queue_enqueue_nanos_ FM_GUARDED_BY(queue_mutex_);
-  uint64_t queue_base_ FM_GUARDED_BY(queue_mutex_) = 0;
 };
 
 }  // namespace fm::serve

@@ -373,31 +373,6 @@ Status Wal::Commit() {
   return Status::OK();
 }
 
-Status Wal::Sync() {
-  if (poisoned_) return PoisonedStatus();
-  const int64_t sync_start = clock_->NowNanos();
-  const Status synced = file_->Sync();
-  if (telemetry_.fsync_nanos != nullptr) {
-    telemetry_.fsync_nanos->Observe(clock_->NowNanos() - sync_start);
-  }
-  if (!synced.ok()) {
-    // Same fsyncgate rule as Commit: never retry a failed fsync. There is
-    // no in-flight batch to roll back here; committed-but-unsynced records
-    // from earlier kNone/kBatch windows have unknowable durability, which
-    // is exactly why the WAL must stop acknowledging.
-    poisoned_ = true;
-    FM_LOG(kError) << "WAL " << options_.path
-                   << " poisoned by failed fsync: " << synced.message();
-    return Status::IoError("WAL fsync failed for " + options_.path + ": " +
-                           synced.message() + " — WAL poisoned");
-  }
-  ++sync_count_;
-  if (telemetry_.syncs != nullptr) telemetry_.syncs->Increment();
-  records_since_sync_ = 0;
-  last_sync_nanos_ = clock_->NowNanos();
-  return Status::OK();
-}
-
 Status Wal::ProbeWritable() {
   if (poisoned_) return PoisonedStatus();
   // Zero bytes can never decode as a record (the CRC of the zero header

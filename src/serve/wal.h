@@ -151,17 +151,13 @@ class Wal {
   ///    stays healthy and ProbeWritable() can re-admit writes later.
   ///  - Any other write error, a failed rollback truncate (a partial record
   ///    may sit mid-log), or a failed fsync POISONS the WAL: the batch is
-  ///    rejected and every later Commit/Sync/ProbeWritable short-circuits
+  ///    rejected and every later Commit/ProbeWritable short-circuits
   ///    with kIoError without touching the file. A failed fsync is never
   ///    retried — the kernel may already have dropped the dirty pages, so a
   ///    "successful" second fsync would acknowledge data that never hit the
   ///    platter. Only a restart + Service::Recover (which re-reads what is
   ///    actually on disk) exits the poisoned state.
   Status Commit();
-
-  /// Forces an fsync regardless of mode (used before checkpoints). A
-  /// failure poisons the WAL (see Commit).
-  Status Sync();
 
   /// True once a non-recoverable write/fsync failure rejected a batch; the
   /// WAL refuses all further writes.

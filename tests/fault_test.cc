@@ -27,6 +27,7 @@
 #include "common/io_util.h"
 #include "common/rng.h"
 #include "exec/thread_pool.h"
+#include "obs/metrics.h"
 #include "serve/replay.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
@@ -278,11 +279,10 @@ TEST(FaultWalTest, FsyncFailurePoisonsAndNeverRetries) {
   EXPECT_TRUE(wal->poisoned());
   EXPECT_EQ(wal->file_bytes(), acknowledged_bytes);
 
-  // Poisoned: every further commit/sync/probe short-circuits without IO.
+  // Poisoned: every further commit/probe short-circuits without IO.
   const uint64_t ops_when_poisoned = env.counts().ops;
   wal->Append(2, serve::Request::Insert(SomeX(2), 0.5));
   EXPECT_EQ(wal->Commit().code(), StatusCode::kIoError);
-  EXPECT_EQ(wal->Sync().code(), StatusCode::kIoError);
   EXPECT_EQ(wal->ProbeWritable().code(), StatusCode::kIoError);
   EXPECT_EQ(env.counts().ops, ops_when_poisoned)
       << "a poisoned WAL must not touch the file";
@@ -396,6 +396,70 @@ TEST(FaultServiceTest, EnospcDegradesToReadOnlyAndResumes) {
   FM_ASSERT_OK_AND_ASSIGN(service, serve::Service::Recover(options,
                                                            durability));
   EXPECT_EQ(StateBytes(*service), live);
+}
+
+TEST(FaultServiceTest, DegradedBatchesRecordLatencyPerKind) {
+  // A degraded batch runs through the same segment loop as a normal one,
+  // so fm_serve_request_nanos keeps "count == request count" per kind. The
+  // one exception is the batch whose WAL commit fails (outcomes, no
+  // latency); it is a compact here, a kind the asserts below leave out.
+  const std::string dir = TestDir("svc_degraded_latency");
+  exec::ThreadPool pool(2);
+  const serve::ServiceOptions options = MakeOptions(&pool);
+
+  io::FaultProfile profile;
+  profile.seed = 19;
+  profile.write_enospc = 1.0;
+  io::FaultInjectingEnv env(io::Env::Default(), profile);
+
+  serve::DurabilityOptions durability;
+  durability.wal.path = dir + "/svc.fmwal";
+  durability.wal.sync = serve::WalSyncMode::kAlways;
+  durability.wal.env = &env;
+  durability.snapshot_dir = dir + "/snapshots";
+
+  FM_ASSERT_OK_AND_ASSIGN(std::unique_ptr<serve::Service> service,
+                          serve::Service::Create(options));
+  ASSERT_TRUE(service->EnableDurability(durability).ok());
+  SeedService(*service);
+  env.set_armed(true);
+  ASSERT_EQ(service->ExecuteLog({serve::Request::Compact()})[0].status.code(),
+            StatusCode::kResourceExhausted);
+  ASSERT_EQ(service->serving_mode(), serve::ServingMode::kDegradedReadOnly);
+
+  // One degraded batch: a predict run, an evaluate and an insert run.
+  const std::vector<serve::Response> responses = service->ExecuteLog(
+      {serve::Request::Predict(SomeX(301)), serve::Request::Predict(SomeX(302)),
+       serve::Request::Evaluate(), serve::Request::Insert(SomeX(303), 0.5),
+       serve::Request::Insert(SomeX(304), 0.5)});
+  ASSERT_EQ(responses.size(), 5u);
+  EXPECT_TRUE(responses[0].status.ok()) << responses[0].status.ToString();
+  EXPECT_TRUE(responses[1].status.ok()) << responses[1].status.ToString();
+  EXPECT_TRUE(responses[2].status.ok()) << responses[2].status.ToString();
+  EXPECT_EQ(responses[3].status.code(), StatusCode::kDegradedReadOnly);
+  EXPECT_EQ(responses[4].status.code(), StatusCode::kDegradedReadOnly);
+
+  obs::MetricsRegistry* metrics = service->metrics();
+  ASSERT_NE(metrics, nullptr);
+  constexpr const char* kOutcomes[] = {
+      "ok",       "invalid_argument",   "not_found",
+      "failed_precondition",            "resource_exhausted",
+      "degraded_read_only", "io_error", "other"};
+  for (const char* kind : {"insert", "predict", "evaluate"}) {
+    uint64_t requests = 0;
+    for (const char* outcome : kOutcomes) {
+      const obs::Counter* counter = metrics->FindCounter(
+          std::string("fm_serve_requests_total{kind=\"") + kind +
+          "\",outcome=\"" + outcome + "\"}");
+      ASSERT_NE(counter, nullptr) << kind << "/" << outcome;
+      requests += counter->Value();
+    }
+    const obs::Histogram* latency = metrics->FindHistogram(
+        std::string("fm_serve_request_nanos{kind=\"") + kind + "\"}");
+    ASSERT_NE(latency, nullptr) << kind;
+    EXPECT_GT(requests, 0u) << kind;
+    EXPECT_EQ(latency->Count(), requests) << kind;
+  }
 }
 
 TEST(FaultServiceTest, FsyncPoisonRequiresRestartAndRecoversAcknowledged) {

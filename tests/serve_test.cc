@@ -7,7 +7,7 @@
 //    punch holes in the shard packing.
 //  - An insert-then-delete round trip restores the previous accumulator
 //    state exactly (bitwise), not just approximately.
-//  - serve::BudgetAccountant's reserve/commit/abort ledger balances exactly
+//  - serve::BudgetAccountant's reserve/settle/abort ledger balances exactly
 //    under concurrent hammering, and a rejected or aborted request consumes
 //    no budget.
 //  - TupleIds are stable: they survive deletes and compactions, are never
@@ -475,13 +475,13 @@ TEST(BudgetAccountant, RejectsInvalidEpsilonEverywhere) {
   EXPECT_EQ(accountant->remaining_epsilon(), 1.0);
 }
 
-TEST(BudgetAccountant, ReserveCommitAbortLedger) {
+TEST(BudgetAccountant, ReserveSettleAbortLedger) {
   auto accountant = serve::BudgetAccountant::Create(1.0).ValueOrDie();
 
-  // Reserve the Lemma-5 worst case, commit the actual spend.
+  // Reserve the Lemma-5 worst case, settle the actual spend.
   const uint64_t r1 = accountant->Reserve(0.5, "train#1").ValueOrDie();
   EXPECT_EQ(accountant->reserved_epsilon(), 0.5);
-  ASSERT_TRUE(accountant->Commit(r1, 0.25).ok());
+  ASSERT_TRUE(accountant->Settle(r1, 0.25).ok());
   EXPECT_EQ(accountant->spent_epsilon(), 0.25);
   EXPECT_EQ(accountant->reserved_epsilon(), 0.0);
   EXPECT_EQ(accountant->remaining_epsilon(), 0.75);
@@ -498,18 +498,44 @@ TEST(BudgetAccountant, ReserveCommitAbortLedger) {
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(accountant->reserved_epsilon(), 0.5);
 
-  // Over-committing is rejected and leaves the reservation pending.
-  EXPECT_EQ(accountant->Commit(r3, 0.75).code(),
+  // An over-reservation settle is rejected and releases the reservation:
+  // nothing is spent and the budget is free again.
+  EXPECT_EQ(accountant->Settle(r3, 0.75).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(accountant->pending_reservations(), 1u);
-  ASSERT_TRUE(accountant->Commit(r3, 0.5).ok());
+  EXPECT_EQ(accountant->pending_reservations(), 0u);
+  EXPECT_EQ(accountant->reserved_epsilon(), 0.0);
+  EXPECT_EQ(accountant->spent_epsilon(), 0.25);
+  const uint64_t r4 = accountant->Reserve(0.5, "train#4").ValueOrDie();
+  ASSERT_TRUE(accountant->Settle(r4, 0.5).ok());
 
   // Settled ids are gone.
-  EXPECT_EQ(accountant->Commit(r3, 0.1).code(), StatusCode::kNotFound);
+  EXPECT_EQ(accountant->Settle(r3, 0.1).code(), StatusCode::kNotFound);
+  EXPECT_EQ(accountant->Settle(r4, 0.1).code(), StatusCode::kNotFound);
   EXPECT_EQ(accountant->Abort(r1).code(), StatusCode::kNotFound);
 
   EXPECT_EQ(accountant->spent_epsilon(), 0.75);
-  EXPECT_EQ(accountant->charges().size(), 2u);
+  const auto charges = accountant->charges();
+  ASSERT_EQ(charges.size(), 2u);
+  EXPECT_EQ(charges[0].label, "train#1");
+  EXPECT_EQ(charges[1].label, "train#4");
+}
+
+TEST(BudgetAccountant, ResamplingDoubleChargeFitsExactly) {
+  // Lemma 5: the resampling remedy spends 2ε, i.e. an FM run at ε plus the
+  // resampling surcharge ε. Two such charges of 0.8 fit a total of 1.6
+  // exactly, and not a hair more.
+  auto accountant = serve::BudgetAccountant::Create(1.6).ValueOrDie();
+  const uint64_t attempt =
+      accountant->Reserve(0.8, "fm attempt").ValueOrDie();
+  const uint64_t surcharge =
+      accountant->Reserve(0.8, "resampling surcharge").ValueOrDie();
+  EXPECT_EQ(accountant->Reserve(0.01, "extra").status().code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(accountant->Settle(attempt, 0.8).ok());
+  ASSERT_TRUE(accountant->Settle(surcharge, 0.8).ok());
+  EXPECT_EQ(accountant->spent_epsilon(), 1.6);
+  EXPECT_EQ(accountant->Reserve(0.01, "extra").status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(BudgetAccountant, SettleSettlesExactlyOnce) {
@@ -547,7 +573,7 @@ TEST(BudgetAccountant, SettleSettlesExactlyOnce) {
   EXPECT_EQ(accountant->charges().size(), 1u);
 }
 
-TEST(BudgetAccountant, ConcurrentReserveCommitAbortBalancesExactly) {
+TEST(BudgetAccountant, ConcurrentReserveSettleAbortBalancesExactly) {
   // 1/1024 is exactly representable, so every ledger transition is exact
   // arithmetic and the final balance must be EQ, not NEAR.
   constexpr double kCharge = 1.0 / 1024.0;
@@ -567,7 +593,7 @@ TEST(BudgetAccountant, ConcurrentReserveCommitAbortBalancesExactly) {
           ASSERT_TRUE(accountant->Abort(reservation.ValueOrDie()).ok());
         } else {
           ASSERT_TRUE(
-              accountant->Commit(reservation.ValueOrDie(), kCharge).ok());
+              accountant->Settle(reservation.ValueOrDie(), kCharge).ok());
           ++committed[t];
         }
       }
@@ -601,18 +627,20 @@ TEST(BudgetAccountant, DiagnosticsKeepSmallEpsilonPrecision) {
       << exhausted.status().message();
 
   const uint64_t r = accountant->Reserve(1e-9, "tiny-train").ValueOrDie();
-  const Status over = accountant->Commit(r, 2e-9);
+  const Status over = accountant->Settle(r, 2e-9);
   ASSERT_EQ(over.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(over.message().find("0.000000"), std::string::npos)
       << over.message();
   EXPECT_NE(over.message().find("e-09"), std::string::npos) << over.message();
-  ASSERT_TRUE(accountant->Commit(r, 1e-9).ok());
+  const uint64_t again =
+      accountant->Reserve(1e-9, "tiny-train").ValueOrDie();
+  ASSERT_TRUE(accountant->Settle(again, 1e-9).ok());
 }
 
 TEST(BudgetAccountant, RestoreRejectsAHugeChargeCount) {
   auto accountant = serve::BudgetAccountant::Create(1.0).ValueOrDie();
   const uint64_t r = accountant->Reserve(0.25, "train").ValueOrDie();
-  ASSERT_TRUE(accountant->Commit(r, 0.25).ok());
+  ASSERT_TRUE(accountant->Settle(r, 0.25).ok());
   std::string payload;
   accountant->SerializeTo(&payload);
   // total @0, spent @8, next_reservation @16, charge_count @24: a count of
@@ -932,7 +960,7 @@ TEST(Service, EdgeRequestsReportPerRequestErrors) {
             StatusCode::kInvalidArgument);  // dim = 0
 }
 
-TEST(Service, ConcurrentEnqueueThenDrainServesEveryRequest) {
+TEST(Service, ConcurrentClientsServeEveryRequest) {
   const auto initial = MakeDataset(900, 4, false, 53);
   serve::ServiceOptions options;
   options.dim = 4;
@@ -945,30 +973,37 @@ TEST(Service, ConcurrentEnqueueThenDrainServesEveryRequest) {
                                               0.0)})[0]
           .status.ok());
 
+  // Six clients call ExecuteLog at once, each with its own log; the calls
+  // serialize on the execution mutex, so every request is served exactly
+  // once. Run under TSan in CI.
   constexpr size_t kThreads = 6;
   constexpr size_t kPerThread = 50;
+  std::vector<std::vector<serve::Response>> responses(kThreads);
   std::vector<std::thread> clients;
   clients.reserve(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
     clients.emplace_back([&, t] {
       Rng rng(1000 + t);
+      std::vector<serve::Request> log;
       for (size_t i = 0; i < kPerThread; ++i) {
         linalg::Vector x(4);
         for (auto& v : x) v = rng.Uniform(-0.4, 0.4);
         if (i % 4 == 0) {
-          service->Enqueue(serve::Request::Insert(x, rng.Uniform(-1.0, 1.0)));
+          log.push_back(serve::Request::Insert(x, rng.Uniform(-1.0, 1.0)));
         } else {
-          service->Enqueue(serve::Request::Predict(std::move(x)));
+          log.push_back(serve::Request::Predict(std::move(x)));
         }
       }
+      responses[t] = service->ExecuteLog(log);
     });
   }
   for (auto& client : clients) client.join();
 
-  const auto responses = service->Drain();
-  ASSERT_EQ(responses.size(), kThreads * kPerThread);
-  for (const auto& response : responses) {
-    EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+  for (const auto& client_responses : responses) {
+    ASSERT_EQ(client_responses.size(), kPerThread);
+    for (const auto& response : client_responses) {
+      EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+    }
   }
   EXPECT_EQ(service->objective().live_size(),
             initial.size() + kThreads * ((kPerThread + 3) / 4));
@@ -1199,27 +1234,37 @@ TEST(Service, EvaluateStreamsTheStoreWithoutMaterializing) {
   EXPECT_EQ(service->objective().materialize_count(), 1u);
 }
 
-TEST(Service, RacingDrainsSerializeAndCountersStayReadable) {
-  // Racing Drain calls serialize on the execution mutex (each drained batch
-  // executes atomically in ticket order) while log_position() /
-  // compaction_count() stay safely readable mid-flight — the counters are
-  // atomics, so a concurrent reader sees monotone positions, never torn
-  // values. Run under TSan in CI.
-  constexpr size_t kInserts = 600;
+TEST(Service, RacingCallersSerializeAndCountersStayReadable) {
+  // Racing ExecuteLog callers serialize on the execution mutex (each batch
+  // executes atomically) while log_position() / compaction_count() stay
+  // safely readable mid-flight — the counters are atomics, so a concurrent
+  // reader sees monotone positions, never torn values. Run under TSan in CI.
+  constexpr size_t kCallers = 2;
+  constexpr size_t kBatches = 60;
+  constexpr size_t kBatchSize = 5;
+  constexpr size_t kInserts = kCallers * kBatches * kBatchSize;
   serve::ServiceOptions options;
   options.dim = 2;
   auto service = serve::Service::Create(options).ValueOrDie();
 
   std::atomic<bool> done{false};
-  std::atomic<size_t> drained{0};
-  auto drainer = [&] {
-    while (!done.load()) {
-      drained += service->Drain().size();
+  std::atomic<size_t> served{0};
+  auto caller = [&](uint64_t seed) {
+    Rng rng(seed);
+    for (size_t b = 0; b < kBatches; ++b) {
+      std::vector<serve::Request> batch;
+      for (size_t i = 0; i < kBatchSize; ++i) {
+        linalg::Vector x(2);
+        x[0] = rng.Uniform(-0.5, 0.5);
+        x[1] = rng.Uniform(-0.5, 0.5);
+        batch.push_back(serve::Request::Insert(std::move(x), 0.25));
+      }
+      for (const auto& response : service->ExecuteLog(batch)) {
+        EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+        ++served;
+      }
     }
-    drained += service->Drain().size();
   };
-  std::thread drain1(drainer);
-  std::thread drain2(drainer);
   std::thread reader([&] {
     uint64_t last = 0;
     while (!done.load()) {
@@ -1229,20 +1274,14 @@ TEST(Service, RacingDrainsSerializeAndCountersStayReadable) {
       (void)service->compaction_count();
     }
   });
-
-  Rng rng(0xD12A);
-  for (size_t i = 0; i < kInserts; ++i) {
-    linalg::Vector x(2);
-    x[0] = rng.Uniform(-0.5, 0.5);
-    x[1] = rng.Uniform(-0.5, 0.5);
-    service->Enqueue(serve::Request::Insert(std::move(x), 0.25));
-  }
+  std::thread caller1(caller, 0xD12A);
+  std::thread caller2(caller, 0xD12B);
+  caller1.join();
+  caller2.join();
   done.store(true);
-  drain1.join();
-  drain2.join();
   reader.join();
 
-  EXPECT_EQ(drained.load(), kInserts);
+  EXPECT_EQ(served.load(), kInserts);
   EXPECT_EQ(service->log_position(), kInserts);
   EXPECT_EQ(service->objective().live_size(), kInserts);
 }
