@@ -15,7 +15,7 @@ namespace {
 
 // What one tuple costs per coefficient in the compensated accumulate kernel
 // (0.6–1.3 ns/coefficient measured at d = 14, with and without
-// -march=native), for the dispatch grain in AccumulateShards.
+// -march=native), for the dispatch grain in AccumulateShards and Flush.
 constexpr double kNanosPerCoefficient = 1.0;
 
 // Neumaier's variant of Kahan summation: sum += v with the rounding error
@@ -172,13 +172,38 @@ void ShardedObjectiveSum::Accumulate(size_t shard, const ObjectiveRows& rows,
 
 void ShardedObjectiveSum::RecomputeShard(size_t shard,
                                          const ObjectiveRows& rows) {
-  FM_CHECK(shard < num_shards());
+  const size_t tuples = shard_tuples_[shard];
   std::fill(sums_[shard].begin(), sums_[shard].end(), 0.0);
   std::fill(comps_[shard].begin(), comps_[shard].end(), 0.0);
   shard_tuples_[shard] = 0;
   const size_t begin = shard * kObjectiveShardRows;
   Accumulate(shard, rows, begin,
              std::min(rows.count, begin + kObjectiveShardRows));
+  // The count was kept current while the shard was stale.
+  FM_DCHECK(shard_tuples_[shard] == tuples);
+}
+
+void ShardedObjectiveSum::MarkStale(size_t shard, size_t removed) {
+  FM_CHECK(shard < num_shards() && removed <= shard_tuples_[shard]);
+  shard_tuples_[shard] -= removed;
+  const auto it = std::lower_bound(stale_.begin(), stale_.end(), shard);
+  if (it == stale_.end() || *it != shard) stale_.insert(it, shard);
+}
+
+size_t ShardedObjectiveSum::Flush(const ObjectiveRows& rows,
+                                  exec::ThreadPool* pool) {
+  const size_t stale = stale_.size();
+  if (stale == 0) return 0;
+  // Cost estimate for the dispatch grain: a stale shard re-sums its whole
+  // home range, every row sweeping each coefficient once.
+  const double index_nanos = static_cast<double>(kObjectiveShardRows) *
+                             static_cast<double>(coefficients_) *
+                             kNanosPerCoefficient;
+  exec::ParallelFor(
+      stale, [&](size_t i) { RecomputeShard(stale_[i], rows); },
+      pool != nullptr ? *pool : exec::ThreadPool::Global(), index_nanos);
+  stale_.clear();
+  return stale;
 }
 
 void ShardedObjectiveSum::AccumulateShards(const ObjectiveRows& rows,
@@ -208,6 +233,7 @@ void ShardedObjectiveSum::AccumulateShards(const ObjectiveRows& rows,
 }
 
 ShardedObjectiveSum ShardedObjectiveSum::Reduce() const {
+  FM_CHECK(stale_.empty());
   ShardedObjectiveSum totals(dim_, kind_);
   totals.Grow(1);
   std::vector<double>& sum = totals.sums_[0];
@@ -251,6 +277,7 @@ bool ShardedObjectiveSum::BitwiseEquals(
            (a.empty() ||
             std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
   };
+  FM_CHECK(stale_.empty() && other.stale_.empty());
   if (dim_ != other.dim_ || kind_ != other.kind_ ||
       shard_tuples_ != other.shard_tuples_) {
     return false;
@@ -265,6 +292,7 @@ bool ShardedObjectiveSum::BitwiseEquals(
 }
 
 void ShardedObjectiveSum::SerializeTo(std::string* out) const {
+  FM_CHECK(stale_.empty());
   io::AppendU64(out, num_shards());
   for (size_t s = 0; s < num_shards(); ++s) {
     io::AppendDoubleArray(out, sums_[s].data(), coefficients_);
@@ -280,6 +308,7 @@ Status ShardedObjectiveSum::RestoreFrom(io::ByteReader& reader,
   if (shards != expected_shards) {
     return Status::IoError("snapshot shard count does not match its slots");
   }
+  stale_.clear();
   sums_.resize(expected_shards);
   comps_.resize(expected_shards);
   shard_tuples_.resize(expected_shards);

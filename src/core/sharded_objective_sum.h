@@ -58,8 +58,14 @@ struct ObjectiveRows {
 ///    depend only on the row index, never on the pool.
 ///  - Reduce() folds the non-empty shards serially in shard order.
 ///
-/// Thread-compatibility: const methods may run concurrently; mutations
-/// require external serialization.
+/// A shard can be stale: MarkStale() defers its re-sum (a delete or an
+/// update in the serving store) until Flush(), which re-sums every stale
+/// shard at once. Its tuple count stays current throughout. The readers of
+/// the partials — Reduce(), BitwiseEquals() and SerializeTo() — require
+/// that no shard is stale; the caller flushes first.
+///
+/// Thread-compatibility: const methods may run concurrently; mutations,
+/// Flush() among them, require external serialization.
 class ShardedObjectiveSum {
  public:
   /// An empty sum (no shards) of `dim`-dimensional `kind` contributions.
@@ -68,7 +74,7 @@ class ShardedObjectiveSum {
   size_t dim() const { return dim_; }
   ObjectiveKind kind() const { return kind_; }
   size_t num_shards() const { return shard_tuples_.size(); }
-  /// Tuples summed into `shard` since it was last recomputed.
+  /// Tuples `shard` sums — current even while the shard is stale.
   size_t shard_tuples(size_t shard) const { return shard_tuples_[shard]; }
   /// Shards holding at least one tuple — what Reduce() pays for.
   size_t nonempty_shards() const;
@@ -81,9 +87,21 @@ class ShardedObjectiveSum {
   void Accumulate(size_t shard, const ObjectiveRows& rows,
                   const std::vector<size_t>& order);
 
-  /// Resets `shard` and re-sums the live rows of its home range — the
-  /// per-shard recompute behind a delete or an update.
-  void RecomputeShard(size_t shard, const ObjectiveRows& rows);
+  /// Marks `shard` stale and drops `removed` tuples from its count now: a
+  /// delete (removed = 1) or an update (removed = 0) of one of its rows.
+  /// Its partial is re-summed by the next Flush(), not here. Rows added to
+  /// a stale shard still count at once; the flush overwrites the partial.
+  void MarkStale(size_t shard, size_t removed);
+
+  /// Resets every stale shard and re-sums the live rows of its home range,
+  /// so each partial is again the in-order sum of its live rows. One
+  /// exec::ParallelFor index per stale shard, in shard order, on `pool`
+  /// (nullptr → the global FM_THREADS pool), with AccumulateShards' grain:
+  /// each index is costed as a full shard of rows × coefficients, so a few
+  /// stale shards re-sum inline and many fan out. Shards are independent,
+  /// so the result is bit-identical for every pool size. Returns how many
+  /// shards it re-summed.
+  size_t Flush(const ObjectiveRows& rows, exec::ThreadPool* pool);
 
   /// Adds rows [begin, rows.count) to their home shards, growing the shard
   /// list to cover rows.count: one exec::ParallelFor index per touched shard
@@ -136,6 +154,9 @@ class ShardedObjectiveSum {
   // Grows the shard list to `shards` zeroed shards (never shrinks).
   void Grow(size_t shards);
 
+  // Resets `shard` and re-sums the live rows of its home range.
+  void RecomputeShard(size_t shard, const ObjectiveRows& rows);
+
   size_t dim_;
   ObjectiveKind kind_;
   size_t coefficients_;  // d(d+1)/2 + d + 1 per shard
@@ -144,6 +165,8 @@ class ShardedObjectiveSum {
   std::vector<std::vector<double>> sums_;
   std::vector<std::vector<double>> comps_;
   std::vector<size_t> shard_tuples_;
+  // Shards whose partials await the next Flush(), ascending, no repeats.
+  std::vector<size_t> stale_;
 };
 
 }  // namespace fm::core

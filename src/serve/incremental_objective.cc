@@ -147,11 +147,11 @@ Status IncrementalObjective::Delete(TupleId id) {
   std::fill(xs_.begin() + static_cast<ptrdiff_t>(slot * dim_),
             xs_.begin() + static_cast<ptrdiff_t>((slot + 1) * dim_), 0.0);
   ys_[slot] = 0.0;
-  // Per-shard recompute (not compensated subtraction): the shard's state
-  // returns to exactly the compensated in-order sum of its remaining live
-  // tuples, keeping the invariant bitwise — see the class comment and
-  // docs/DETERMINISM.md.
-  sums_.RecomputeShard(slot / core::kObjectiveShardRows, rows());
+  // Per-shard recompute (not compensated subtraction), deferred to the next
+  // Flush(): the shard's state returns to exactly the compensated in-order
+  // sum of its remaining live tuples before anything reads it, keeping the
+  // invariant bitwise — see the class comment and docs/DETERMINISM.md.
+  sums_.MarkStale(slot / core::kObjectiveShardRows, 1);
   return Status::OK();
 }
 
@@ -161,8 +161,12 @@ Status IncrementalObjective::Update(TupleId id, const double* x, size_t dim,
   FM_RETURN_NOT_OK(ValidateTuple(x, dim, y));
   std::memcpy(xs_.data() + slot * dim_, x, dim_ * sizeof(double));
   ys_[slot] = y;
-  sums_.RecomputeShard(slot / core::kObjectiveShardRows, rows());
+  sums_.MarkStale(slot / core::kObjectiveShardRows, 0);
   return Status::OK();
+}
+
+void IncrementalObjective::Flush(exec::ThreadPool* pool) const {
+  shard_recompute_count_ += sums_.Flush(rows(), pool);
 }
 
 size_t IncrementalObjective::Compact(exec::ThreadPool* pool) {
@@ -199,13 +203,14 @@ size_t IncrementalObjective::Compact(exec::ThreadPool* pool) {
   // same per-shard accumulation a fresh store fed these tuples in order
   // would have performed (shard boundaries depend only on the slot index),
   // so the post-compaction state is bit-identical to that fresh store for
-  // every pool size.
+  // every pool size. Stale shards are rebuilt like the rest.
   sums_ = core::ShardedObjectiveSum(dim_, kind_);
   sums_.AccumulateShards(rows(), 0, pool);
   return old_slots - write;
 }
 
 opt::QuadraticModel IncrementalObjective::Objective() const {
+  Flush();
   return sums_.Reduce().Round();
 }
 
@@ -240,6 +245,8 @@ IncrementalObjective IncrementalObjective::RebuildFromScratch(
 
 bool IncrementalObjective::StoreStateBitwiseEquals(
     const IncrementalObjective& other) const {
+  Flush();
+  other.Flush();
   const auto doubles_equal = [](const std::vector<double>& a,
                                 const std::vector<double>& b) {
     return a.size() == b.size() &&
@@ -253,6 +260,7 @@ bool IncrementalObjective::StoreStateBitwiseEquals(
 }
 
 void IncrementalObjective::SerializeTo(std::string* out) const {
+  Flush();
   io::AppendU64(out, dim_);
   io::AppendU8(out, static_cast<uint8_t>(kind_));
   io::AppendU64(out, next_id_);

@@ -29,9 +29,11 @@ using TupleId = uint64_t;
 /// under INSERT / DELETE / UPDATE — the serving layer's answer to the
 /// paper's central structural fact that both FM objectives are plain sums of
 /// per-tuple contributions. An insert is an O(d²) compensated delta; a
-/// delete recomputes only its 1024-row shard; deriving the current objective
-/// is O(live shards · d²) — so a continuously-updated private model never
-/// pays the O(n · d²) full re-summation that an offline rebuild would.
+/// delete or an update marks its 1024-row shard stale, and the next read of
+/// the objective re-sums each stale shard once; deriving the current
+/// objective is O(live shards · d²) — so a continuously-updated private
+/// model never pays the O(n · d²) full re-summation that an offline rebuild
+/// would.
 ///
 /// State model. Every inserted tuple occupies a physical slot; deletion
 /// marks the slot dead and leaves a hole until the next compaction. Clients
@@ -50,14 +52,22 @@ using TupleId = uint64_t;
 ///   compensated accumulation of its live tuples in slot order.
 ///
 /// Inserts preserve it because appending a tuple's compensated contribution
-/// IS the next step of that from-scratch accumulation. Deletes preserve it
-/// by per-shard recompute: the affected shard's partials are rebuilt from
-/// its remaining live tuples (≤ 1024 of them — bounded, cheap, and exact in
-/// the sense above). Compensated *subtraction* of the deleted contribution
-/// was considered and rejected: it leaves the shard state dependent on the
-/// full insert/delete history, so errors could accumulate over an unbounded
-/// request log and the ≤1-ulp-of-fresh-build guarantee would degrade to
-/// ≤k-ulp after k deletes (see docs/DETERMINISM.md, "The serving layer").
+/// IS the next step of that from-scratch accumulation. Deletes and updates
+/// preserve it by per-shard recompute: the affected shard's partials are
+/// rebuilt from its remaining live tuples (≤ 1024 of them — bounded and
+/// exact in the sense above). The recompute is deferred: a delete or an
+/// update only marks the shard stale (its tuple count drops at once), and
+/// Flush() re-sums every stale shard in one pooled pass. Every reader of
+/// the partials — Objective(), SerializeTo(), StoreStateBitwiseEquals() —
+/// flushes first, and Compact() rebuilds every shard, so the invariant
+/// holds wherever the partials are read. Many deletes to one shard between
+/// two trains cost one recompute, not one each, and because the recompute
+/// is a pure function of the live slots no read can tell when it ran.
+/// Compensated *subtraction* of the deleted contribution was considered and
+/// rejected: it leaves the shard state dependent on the full insert/delete
+/// history, so errors could accumulate over an unbounded request log and
+/// the ≤1-ulp-of-fresh-build guarantee would degrade to ≤k-ulp after k
+/// deletes (see docs/DETERMINISM.md, "The serving layer").
 ///
 /// Consequences of the invariant:
 ///  - Objective() — the serial in-shard-order compensated reduction — is a
@@ -84,8 +94,12 @@ using TupleId = uint64_t;
 /// (docs/DETERMINISM.md, "Compaction"). TupleIds are untouched: survivors
 /// keep their ids, dead ids stay dead (kNotFound) forever.
 ///
-/// Thread-compatibility: const methods may run concurrently; mutations
-/// require external serialization (serve::Service provides it).
+/// Thread-compatibility: mutations require external serialization
+/// (serve::Service provides it). So, while any shard is stale, do the
+/// readers that flush — Flush(), Objective(), SerializeTo() and
+/// StoreStateBitwiseEquals() (which flushes both stores): they write the
+/// partials. Once flushed they are plain reads, and const methods may run
+/// concurrently.
 class IncrementalObjective {
  public:
   /// An empty store for `dim`-dimensional tuples contributing to `kind`.
@@ -122,16 +136,26 @@ class IncrementalObjective {
   /// True when `id` refers to a live tuple.
   bool Contains(TupleId id) const;
 
-  /// Marks `id`'s tuple dead, scrubs its raw values, and recomputes its
-  /// shard from the remaining live tuples.
-  /// O(log n + kObjectiveShardRows · d²). Fails with kNotFound when the id
-  /// was never assigned or its tuple is already dead.
+  /// Marks `id`'s tuple dead, scrubs its raw values, and marks its shard
+  /// stale; the next Flush() recomputes the shard from its remaining live
+  /// tuples. O(log n + d) here, plus a share of one
+  /// O(kObjectiveShardRows · d²) shard recompute at the next read. Fails
+  /// with kNotFound when the id was never assigned or its tuple is already
+  /// dead.
   Status Delete(TupleId id);
 
-  /// Replaces `id`'s tuple in place (validating the new tuple) and
-  /// recomputes its shard once. Equivalent to Delete + re-Insert, except
+  /// Replaces `id`'s tuple in place (validating the new tuple) and marks
+  /// its shard stale, like Delete. Equivalent to Delete + re-Insert, except
   /// the id — and the slot layout — are preserved.
   Status Update(TupleId id, const double* x, size_t dim, double y);
+
+  /// Recomputes every shard a delete or an update left stale, on `pool`
+  /// (nullptr → the global FM_THREADS pool; see
+  /// core::ShardedObjectiveSum::Flush). The readers of the partials call it
+  /// with nullptr; serve::Service calls it on its own pool before it trains
+  /// or snapshots. Changes no observable bit: it only brings the partials
+  /// up to the live slots, which is what every reader would compute.
+  void Flush(exec::ThreadPool* pool = nullptr) const;
 
   /// Densely rewrites the store in live-slot order, rebuilds every shard
   /// partial from scratch on `pool` (per-shard parallel; nullptr → the
@@ -169,6 +193,11 @@ class IncrementalObjective {
   /// Number of Materialize() calls on this store — the churn soak asserts
   /// the serving path stays at zero (evaluate must use ForEachLive).
   uint64_t materialize_count() const { return materialize_count_; }
+
+  /// Shards Flush() has recomputed over this store's life — the work
+  /// deletes and updates cost. Compaction and bulk inserts accumulate and
+  /// do not count.
+  uint64_t shard_recompute_count() const { return shard_recompute_count_; }
 
   /// Appends the full store state — tuples, liveness, id table, shard
   /// partials, raw double bytes — to `out` (snapshot payload). RestoreFrom
@@ -228,8 +257,10 @@ class IncrementalObjective {
   std::vector<TupleId> slot_to_id_;
   TupleId next_id_ = 0;  // never decremented — ids outlive compactions
   // Per-shard compensated partial coefficient sums over the live slots; a
-  // shard's tuple count is its live-slot count.
-  core::ShardedObjectiveSum sums_;
+  // shard's tuple count is its live-slot count. `mutable` because the
+  // const readers flush stale shards first (see Flush()).
+  mutable core::ShardedObjectiveSum sums_;
+  mutable uint64_t shard_recompute_count_ = 0;
   // Materialize() call counter (diagnostic; see materialize_count()).
   // `mutable` because Materialize is const; reads/writes are serialized by
   // the same external synchronization the mutation API requires.

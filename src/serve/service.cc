@@ -623,6 +623,9 @@ Response Service::DoTrainLocked(const Request& request, uint64_t position) {
     fork_stream += pool().num_threads() - 1;
   }
   Rng rng(Rng::Fork(options_.seed, fork_stream));
+  // Re-sum the shards deletes and updates left stale on this service's
+  // pool, so Objective() reads fresh partials.
+  objective_.Flush(&pool());
   const Result<baselines::TrainedModel> trained =
       TrainWith(request, options_, objective_.Objective(), rng);
   if (!trained.ok()) {
@@ -898,6 +901,7 @@ Status Service::CheckpointLocked() {
 
 Status Service::WriteSnapshotLocked() {
   const uint64_t position = next_position_.load(std::memory_order_relaxed);
+  objective_.Flush(&pool());
   const std::string payload = EncodeSnapshot(
       objective_, *accountant_, registry_, position,
       compaction_count_.load(std::memory_order_relaxed));
@@ -952,6 +956,8 @@ void Service::PollGaugesLocked() {
   set("fm_store_live_shards", static_cast<double>(objective_.live_shards()));
   set("fm_store_materializations",
       static_cast<double>(objective_.materialize_count()));
+  set("fm_store_shard_recomputes",
+      static_cast<double>(objective_.shard_recompute_count()));
   set("fm_serve_log_position", static_cast<double>(log_position()));
   set("fm_serve_compactions", static_cast<double>(compaction_count()));
   set("fm_serve_model_version",

@@ -282,7 +282,8 @@ class Service {
   /// Analysis opt-out (documented benign): returns a reference to the
   /// execute_mutex_-guarded store without the lock. Kept for tests and
   /// stats displays that read it quiescently (no concurrent ExecuteLog);
-  /// the store's own accessors are const and allocation-free.
+  /// the store's accessors are const, and those that read the shard
+  /// partials flush stale shards first (IncrementalObjective::Flush).
   const IncrementalObjective& objective() const
       FM_NO_THREAD_SAFETY_ANALYSIS {
     return objective_;

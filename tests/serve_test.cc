@@ -408,6 +408,58 @@ TEST(IncrementalObjective, FullyDeadShardContributesNothingBitwise) {
   ExpectBitwiseEqual(store.Objective(), full);
 }
 
+TEST(IncrementalObjective, DeletesAndUpdatesDeferTheirShardRecompute) {
+  // Three shards: 1024 + 1024 + 452 slots (slot = id, no compaction).
+  const auto ds = MakeDataset(2500, 5, false, 109);
+  auto store = StoreFromDataset(ds, core::ObjectiveKind::kLinear);
+  const auto fresh = MakeDataset(8, 5, false, 111);
+
+  // Deletes and updates in shard 1 only: nothing is re-summed yet.
+  for (serve::TupleId id = 1030; id < 1040; ++id) {
+    ASSERT_TRUE(store.Delete(id).ok());
+  }
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(store.Update(1100 + i, fresh.x.Row(i), 5, fresh.y[i]).ok());
+  }
+  EXPECT_EQ(store.shard_recompute_count(), 0u);
+
+  // Read the stale store through each reader on its own copy: the reader
+  // re-sums shard 1 once, and sees what a from-scratch rebuild holds.
+  const auto rebuilt = store.RebuildFromScratch();
+  {
+    const auto copy = store;
+    std::string stale_bytes, rebuilt_bytes;
+    copy.SerializeTo(&stale_bytes);
+    rebuilt.SerializeTo(&rebuilt_bytes);
+    EXPECT_EQ(stale_bytes, rebuilt_bytes);
+    EXPECT_EQ(copy.shard_recompute_count(), 1u);
+  }
+  {
+    const auto copy = store;
+    ExpectBitwiseEqual(copy.Objective(), rebuilt.Objective());
+    EXPECT_EQ(copy.shard_recompute_count(), 1u);
+  }
+
+  // Counts stay eager: emptying shard 2 drops live_shards() at once.
+  EXPECT_EQ(store.live_shards(), 3u);
+  for (serve::TupleId id = 2048; id < 2500; ++id) {
+    ASSERT_TRUE(store.Delete(id).ok());
+  }
+  EXPECT_EQ(store.live_shards(), 2u);
+  EXPECT_EQ(store.shard_recompute_count(), 0u);
+
+  // An insert lands in the stale tail shard; the flush overwrites its
+  // partial, so the store still matches a rebuild bit for bit.
+  ASSERT_TRUE(store.Insert(fresh.x.Row(4), 5, fresh.y[4]).ok());
+  EXPECT_EQ(store.live_shards(), 3u);
+  EXPECT_TRUE(store.StoreStateBitwiseEquals(store.RebuildFromScratch()));
+  EXPECT_EQ(store.shard_recompute_count(), 2u);
+
+  // A second flush finds nothing stale.
+  store.Flush();
+  EXPECT_EQ(store.shard_recompute_count(), 2u);
+}
+
 TEST(IncrementalObjective, RestoreRejectsCountersThatContradictTheSlots) {
   // Payload layout: dim u64 @0, kind u8 @8, next_id u64 @9, live_count u64
   // @17, slots u64 @25, then xs, ys, one liveness byte per slot, the id
@@ -848,6 +900,49 @@ TEST(Service, RunsPastTheGrainUseThePoolAndMatchOneThread) {
   }
   EXPECT_TRUE(one.service->objective().StoreStateBitwiseEquals(
       four.service->objective()));
+}
+
+TEST(Service, ChurnInOneShardCostsOneRecomputeAtTheTrain) {
+  // 16 deletes and updates land in shard 1 of a three-shard store. They
+  // only mark it stale; the train that follows re-sums it once.
+  const auto initial = MakeDataset(2500, 5, false, 71);
+  const auto fresh = MakeDataset(6, 5, false, 73);
+  serve::ServiceOptions options;
+  options.dim = 5;
+  options.total_epsilon = 4.0;
+  auto service = serve::Service::Create(options).ValueOrDie();
+  ASSERT_TRUE(service->Bootstrap(initial).ok());
+  const auto recomputes = [&] {
+    service->MetricsSnapshot();  // polls the store gauges
+    const obs::Gauge* gauge =
+        service->metrics()->FindGauge("fm_store_shard_recomputes");
+    EXPECT_NE(gauge, nullptr);
+    return gauge == nullptr ? -1.0 : gauge->Value();
+  };
+  EXPECT_EQ(recomputes(), 0.0);
+
+  std::vector<serve::Request> churn;
+  for (serve::TupleId id = 1030; id < 1040; ++id) {
+    churn.push_back(serve::Request::Delete(id));
+  }
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    churn.push_back(
+        serve::Request::Update(1100 + i, fresh.x.RowVector(i), fresh.y[i]));
+  }
+  for (const auto& response : service->ExecuteLog(churn)) {
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  }
+  EXPECT_EQ(recomputes(), 0.0);
+
+  const auto train = serve::Request::Train(
+      serve::TrainerKind::kFunctionalMechanism, 0.5);
+  ASSERT_TRUE(service->ExecuteLog({train})[0].status.ok());
+  EXPECT_EQ(recomputes(), 1.0);
+  // Nothing is stale any more, so the next train re-sums nothing.
+  ASSERT_TRUE(service->ExecuteLog({train})[0].status.ok());
+  EXPECT_EQ(recomputes(), 1.0);
+  EXPECT_TRUE(service->objective().StoreStateBitwiseEquals(
+      service->objective().RebuildFromScratch()));
 }
 
 TEST(Service, IncrementalModelMatchesScratchRetrainBitwise) {

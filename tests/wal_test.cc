@@ -31,6 +31,7 @@
 #include "common/io_util.h"
 #include "common/rng.h"
 #include "common/ulp.h"
+#include "core/sharded_objective_sum.h"
 #include "data/dataset.h"
 #include "exec/thread_pool.h"
 #include "linalg/kernels.h"
@@ -710,6 +711,103 @@ TEST(ServiceDurability, AutoCheckpointFiresAndStaysRecoverable) {
   auto recovered = serve::Service::Recover(options, durability).ValueOrDie();
   EXPECT_EQ(recovered->log_position(), log.size());
   ExpectServicesBitwiseEqual(*recovered, *reference);
+}
+
+TEST(ServiceDurability, PooledShardFlushMatchesOneThreadBitwise) {
+  // Eight full shards at d = 10, every one left stale before the train and
+  // again before the checkpoint: both flushes cross the dispatch grain and
+  // re-sum on the pool, and must release the same bytes as one thread.
+  constexpr size_t kDim = 10;
+  constexpr size_t kShards = 8;
+  constexpr size_t kRows = core::kObjectiveShardRows;
+  Rng rng(0xF1u);
+  data::RegressionDataset initial;
+  initial.x = linalg::Matrix(kShards * kRows, kDim);
+  initial.y = linalg::Vector(kShards * kRows);
+  const double scale = 1.0 / std::sqrt(static_cast<double>(kDim));
+  for (size_t i = 0; i < initial.size(); ++i) {
+    for (size_t j = 0; j < kDim; ++j) {
+      initial.x(i, j) = rng.Uniform(-scale, scale);
+    }
+    initial.y[i] = rng.Uniform(-1.0, 1.0);
+  }
+  std::vector<serve::Request> churn, churn_again;
+  for (size_t s = 0; s < kShards; ++s) {
+    const size_t base = s * kRows;
+    churn.push_back(serve::Request::Delete(base + 7));
+    churn.push_back(serve::Request::Update(
+        base + 300, initial.x.RowVector(base + 301), initial.y[base + 301]));
+    churn_again.push_back(serve::Request::Update(
+        base + 500, initial.x.RowVector(base + 501), initial.y[base + 501]));
+  }
+
+  struct Run {
+    std::vector<serve::Response> responses;
+    uint64_t train_tasks = 0;
+    uint64_t checkpoint_tasks = 0;
+    std::vector<double> omega;
+    std::string snapshot;
+    std::string wal;
+  };
+  const auto run = [&](exec::ThreadPool& pool, const std::string& name) {
+    Run out;
+    auto options = MakeOptions(&pool);
+    options.dim = kDim;
+    options.compaction_min_dead = kRows;
+    auto service = serve::Service::Create(options).ValueOrDie();
+    EXPECT_TRUE(service->Bootstrap(initial).ok());
+    const auto durability = MakeDurability(TestDir(name));
+    EXPECT_TRUE(service->EnableDurability(durability).ok());
+    const auto execute = [&](const std::vector<serve::Request>& log) {
+      for (const auto& response : service->ExecuteLog(log)) {
+        EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+        out.responses.push_back(response);
+      }
+    };
+    execute(churn);
+    uint64_t before = pool.tasks_submitted();
+    execute({serve::Request::Train(serve::TrainerKind::kFunctionalMechanism,
+                                   0.5)});
+    out.train_tasks = pool.tasks_submitted() - before;
+    execute(churn_again);
+    before = pool.tasks_submitted();
+    EXPECT_TRUE(service->Checkpoint().ok());
+    out.checkpoint_tasks = pool.tasks_submitted() - before;
+    const auto model = service->registry().Latest();
+    EXPECT_NE(model, nullptr);
+    if (model != nullptr) {
+      out.omega.assign(model->omega.raw(),
+                       model->omega.raw() + model->omega.size());
+    }
+    out.snapshot =
+        io::ReadFileToString(
+            durability.snapshot_dir + "/" +
+            serve::SnapshotFileName(service->log_position()))
+            .ValueOrDie();
+    out.wal = io::ReadFileToString(durability.wal.path).ValueOrDie();
+    return out;
+  };
+
+  exec::ThreadPool pool1(1);
+  exec::ThreadPool pool8(8);
+  const Run one = run(pool1, "flush_1");
+  const Run eight = run(pool8, "flush_8");
+  EXPECT_EQ(one.train_tasks, 0u);
+  EXPECT_EQ(one.checkpoint_tasks, 0u);
+  EXPECT_GT(eight.train_tasks, 0u);
+  EXPECT_GT(eight.checkpoint_tasks, 0u);
+
+  ASSERT_EQ(one.responses.size(), eight.responses.size());
+  for (size_t i = 0; i < one.responses.size(); ++i) {
+    ExpectResponseEqual(eight.responses[i], one.responses[i], i);
+  }
+  ASSERT_EQ(one.omega.size(), kDim);
+  ASSERT_EQ(eight.omega.size(), kDim);
+  EXPECT_EQ(std::memcmp(one.omega.data(), eight.omega.data(),
+                        kDim * sizeof(double)),
+            0);
+  EXPECT_EQ(one.snapshot, eight.snapshot);
+  EXPECT_EQ(one.wal, eight.wal);
 }
 
 // --------------------------------------------------------------------------
